@@ -26,6 +26,10 @@ from .pipeline import RunConfig, prepare_curves, run
 from .similarity import similarity, similarity_matrix
 from .simulation import generate, scenario_preset
 
+# cluster, align and indexes smooth onto the same grid unless told otherwise,
+# so align and indexes reproduce the values a cluster run used
+_DEFAULT_GRID = RunConfig.grid_size
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -41,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dunn-inter", choices=list(DUNN_INTER), default="I1")
     p.add_argument("--dunn-intra", choices=list(DUNN_INTRA), default="J1")
     p.add_argument("--quantile-a", type=float, default=0.25)
-    p.add_argument("--grid", type=int, default=500)
+    p.add_argument("--grid", type=int, default=_DEFAULT_GRID)
     p.add_argument("--max-iter", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
@@ -66,6 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--pair", required=True, help="two curve ids, e.g. 3,7")
     p.add_argument("--lambda0", type=float, required=True)
+    p.add_argument("--grid", type=int, default=_DEFAULT_GRID)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_align)
 
@@ -73,6 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--lambda0", type=float, required=True)
+    p.add_argument("--grid", type=int, default=_DEFAULT_GRID)
     p.set_defaults(func=_cmd_indexes)
 
     return parser
@@ -134,7 +140,7 @@ def _cmd_align(args) -> int:
     parts = args.pair.split(",")
     if len(parts) != 2:
         raise InvalidInputError("--pair needs exactly two ids, e.g. 3,7")
-    config = RunConfig(lambda0=args.lambda0)
+    config = RunConfig(lambda0=args.lambda0, grid_size=args.grid)
     names, curves = _load_curves(args.input, config)
     index_of = {name: i for i, name in enumerate(names)}
     try:
@@ -159,7 +165,7 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_indexes(args) -> int:
-    config = RunConfig(lambda0=args.lambda0)
+    config = RunConfig(lambda0=args.lambda0, grid_size=args.grid)
     names, curves = _load_curves(args.input, config)
     index_of = {name: i for i, name in enumerate(names)}
     groups = []

@@ -14,10 +14,6 @@ from .errors import ZeroVarianceError
 ZERO_NORM_TOL = 1e-12
 
 
-def integral_mean(f: np.ndarray, weights: np.ndarray) -> float:
-    return float(weights @ f)
-
-
 def center_inner(f: np.ndarray, g: np.ndarray, weights: np.ndarray) -> float:
     """Centered inner product: integral of (f - Ef)(g - Eg)."""
     fc = f - (weights @ f)
@@ -53,8 +49,3 @@ def warp_weighted_inner(
     fc = f - warp_weighted_mean(f, dpsi, weights)
     gc = g - warp_weighted_mean(g, dpsi, weights)
     return float(weights @ (fc * gc * dpsi))
-
-
-def warp_weighted_norm(f: np.ndarray, dpsi: np.ndarray, weights: np.ndarray) -> float:
-    fc = f - warp_weighted_mean(f, dpsi, weights)
-    return float(np.sqrt(max(weights @ (fc * fc * dpsi), 0.0)))

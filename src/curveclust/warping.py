@@ -10,6 +10,7 @@ quadratic spline space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -125,12 +126,21 @@ def n_raw_params(settings: SplineSettings = DEFAULT_SPLINES) -> int:
     return len(settings.warp_interior()) + settings.warp_degree
 
 
-def _coefficients_from_raw(raw: np.ndarray, greville_steps: np.ndarray) -> np.ndarray:
-    increments = np.exp(raw - raw.max()) * greville_steps
-    coef = np.empty(len(raw) + 1)
+def _coefficients_from_raw(
+    raw: np.ndarray, greville_steps: np.ndarray, coef: np.ndarray | None = None
+) -> np.ndarray:
+    """Warp coefficients for `raw`, written into `coef` when one is given."""
+    if coef is None:
+        coef = np.empty(len(raw) + 1)
     coef[0] = 0.0
-    np.cumsum(increments, out=coef[1:])
-    coef[1:] /= coef[-1]
+    tail = coef[1:]
+    # ufunc calls without the ndarray.max / np.cumsum wrappers: this runs once
+    # per objective evaluation
+    np.subtract(raw, np.maximum.reduce(raw), out=tail)
+    np.exp(tail, out=tail)
+    np.multiply(tail, greville_steps, out=tail)
+    np.add.accumulate(tail, out=tail)
+    np.divide(tail, coef[-1], out=tail)
     return coef
 
 
@@ -217,6 +227,7 @@ def power_warp_raw(alpha: float, settings: SplineSettings = DEFAULT_SPLINES) -> 
         increments = np.maximum(np.diff(coef), 1e-4 * steps)
         raw = np.log(increments / steps)
         raw -= raw.mean()
+    raw.flags.writeable = False  # shared by every later caller
     _power_raw_cache[key] = raw
     return raw
 
@@ -267,39 +278,62 @@ def _proxy_objective(f: Curve, g: Curve, lambda0: float, ws: _WarpWorkspace):
     The reverse-direction correlation and penalty are computed by change of
     variables with the forward derivative as weight, which is the same quantity
     up to inverse-approximation error.
+
+    The objective runs about 2,000 times per pair, so its work buffers are
+    allocated once here and each step writes into them.  The arithmetic (every
+    product, dot product and operand order) is fixed: results carry
+    full-precision values, so a change here must keep the objective
+    bit-identical (tests/test_warping.py holds the reference).
     """
     w = f.grid.weights
     fs = f.samples
     f_centered = fs - w @ fs
     f_norm = np.sqrt(w @ (f_centered * f_centered))
-    g_bspline = g.spline
+    g_bspline = g.spline._bspline
     basis, deriv, steps = ws.basis, ws.deriv, ws.greville_steps
+    min_denom = ZERO_NORM_TOL**2
+    # ndarray.min without its Python wrapper; np.dot takes the same BLAS path
+    # as 1-D @
+    amin, dot = np.minimum.reduce, np.dot
+
+    coef = np.empty(len(steps) + 1)
+    psi, dpsi, gc, wd, gcw, fcw, tmp = np.empty((7, len(w)))
 
     def objective(raw: np.ndarray) -> float:
-        coef = _coefficients_from_raw(raw, steps)
-        psi = basis @ coef
-        dpsi = deriv @ coef
-        if not np.all(np.isfinite(dpsi)) or dpsi.min() <= 1e-9:
-            return 2.0  # numerically flat somewhere; 1/dpsi would blow up
+        _coefficients_from_raw(raw, steps, coef)
+        np.matmul(basis, coef, out=psi)
+        np.matmul(deriv, coef, out=dpsi)
+        if not amin(dpsi) > 1e-9:
+            return 2.0  # NaN, or numerically flat somewhere; 1/dpsi would blow up
+        np.clip(psi, 0.0, 1.0, out=psi)
         g_warped = g_bspline(psi)
-        gc = g_warped - w @ g_warped
-        g_norm = np.sqrt(w @ (gc * gc))
+        np.subtract(g_warped, dot(w, g_warped), out=gc)
+        np.multiply(gc, gc, out=tmp)
+        g_norm = math.sqrt(dot(w, tmp))
         if g_norm <= ZERO_NORM_TOL:
             return 2.0
-        r_fwd = np.clip((w @ (f_centered * gc)) / (f_norm * g_norm), -1.0, 1.0)
-        p_fwd = w @ (dpsi - 1.0) ** 2
-        wd = w * dpsi
-        g_mean_w = wd @ g_warped
-        f_mean_w = wd @ fs
-        gcw = g_warped - g_mean_w
-        fcw = fs - f_mean_w
-        denom = np.sqrt((wd @ (gcw * gcw)) * (wd @ (fcw * fcw)))
-        if denom <= ZERO_NORM_TOL**2:
+        np.multiply(f_centered, gc, out=tmp)
+        r_fwd = min(max(dot(w, tmp) / (f_norm * g_norm), -1.0), 1.0)
+        np.subtract(dpsi, 1.0, out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        p_fwd = dot(w, tmp)
+        np.multiply(w, dpsi, out=wd)
+        np.subtract(g_warped, dot(wd, g_warped), out=gcw)
+        np.subtract(fs, dot(wd, fs), out=fcw)
+        np.multiply(gcw, gcw, out=tmp)
+        g_var = dot(wd, tmp)
+        np.multiply(fcw, fcw, out=tmp)
+        denom = math.sqrt(g_var * dot(wd, tmp))
+        if denom <= min_denom:
             return 2.0
-        r_inv = np.clip((wd @ (gcw * fcw)) / denom, -1.0, 1.0)
-        p_inv = wd @ (1.0 / dpsi - 1.0) ** 2
+        np.multiply(gcw, fcw, out=tmp)
+        r_inv = min(max(dot(wd, tmp) / denom, -1.0), 1.0)
+        np.divide(1.0, dpsi, out=tmp)
+        np.subtract(tmp, 1.0, out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        p_inv = dot(wd, tmp)
         rho = 0.5 * ((r_fwd - lambda0 * p_fwd) + (r_inv - lambda0 * p_inv))
-        return -rho if np.isfinite(rho) else 2.0
+        return -rho if math.isfinite(rho) else 2.0
 
     return objective
 

@@ -10,6 +10,8 @@ from curveclust.io import (
     read_partition_json,
     write_curves_csv,
 )
+from curveclust.pipeline import RunConfig, prepare_curves
+from curveclust.similarity import similarity
 
 
 @pytest.fixture()
@@ -24,6 +26,20 @@ def small_dataset(tmp_path):
     )
     assert code == 0
     return curves, labels
+
+
+@pytest.fixture(scope="module")
+def s31_dataset(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("s31")
+    curves, labels = folder / "curves.csv", folder / "labels.csv"
+    code = main(
+        [
+            "simulate", "--scenario", "s31", "--sizes", "2,2,2", "--seed", "1",
+            "--out", str(curves), "--labels", str(labels),
+        ]
+    )
+    assert code == 0
+    return curves
 
 
 class TestSimulate:
@@ -127,6 +143,21 @@ class TestAlign:
         assert code == 2
 
 
+    def test_grid_matches_library_similarity(self, s31_dataset, tmp_path):
+        out = tmp_path / "align.json"
+        code = main(
+            [
+                "align", "--input", str(s31_dataset), "--pair", "0,2",
+                "--lambda0", "0.5", "--grid", "100", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        names, points, samples = read_curves_csv(s31_dataset)
+        curves = prepare_curves(points, samples, RunConfig(lambda0=0.5, grid_size=100))
+        entry = similarity(curves[0], curves[2], 0.5)
+        assert json.loads(out.read_text())["rho"] == entry.rho
+
+
 class TestIndexes:
     def test_prints_all_variants(self, small_dataset, tmp_path, capsys):
         curves, _ = small_dataset
@@ -145,6 +176,29 @@ class TestIndexes:
         assert names == [
             "dunn_I1_J1", "dunn_I1_J2", "dunn_I2_J1", "dunn_I2_J2", "dunn_I3_J1", "dunn_I3_J2",
         ]
+
+
+    def test_grid_reproduces_cluster_index_value(self, s31_dataset, tmp_path, capsys):
+        result = tmp_path / "result.json"
+        code = main(
+            [
+                "cluster", "--input", str(s31_dataset), "--lambda0", "0.5",
+                "--grid", "100", "--output", str(result),
+            ]
+        )
+        assert code == 0
+        data = json.loads(result.read_text())
+        assert data["index_name"] == "silhouette"
+        capsys.readouterr()
+        code = main(
+            [
+                "indexes", "--input", str(s31_dataset), "--partition", str(result),
+                "--lambda0", "0.5", "--grid", "100",
+            ]
+        )
+        assert code == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == f"silhouette {data['index_value']:.6f}"
 
 
 class TestExitCodes:

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from curveclust import warping
 from curveclust.curves import refit_on_grid
 from curveclust.errors import InvalidParameterError, MonotonicityError
+from curveclust.products import ZERO_NORM_TOL
 from curveclust.splines import (
     SplineRep,
     derivative,
@@ -23,7 +25,7 @@ from curveclust.warping import (
     roughness_penalty,
 )
 
-from .conftest import sine_shape
+from .conftest import random_smooth_curve, sine_shape
 
 CHECK = np.linspace(0.0, 1.0, 257)
 
@@ -44,6 +46,15 @@ class TestMakeWarping:
     def test_power_projection_close(self):
         warp = make_warping(power_warp_raw(2.5))
         assert np.abs(warp.forward(CHECK) - CHECK**2.5).max() <= 0.01
+
+    def test_power_raw_cache_is_read_only(self):
+        first = power_warp_raw(1.5)
+        original = first.copy()
+        with pytest.raises(ValueError):
+            first[0] = 99.0
+        again = power_warp_raw(1.5)
+        np.testing.assert_array_equal(again, original)
+        assert not again.flags.writeable
 
     def test_non_finite_params_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -138,3 +149,103 @@ class TestOptimizeWarping:
         opts = OptimizerSettings(budget_per_start=50)
         _, parts = optimize_warping(f, g, 0.0, opts=opts)
         assert parts.rho >= rho_parts(f, g, identity_warping(), 0.0).rho - 1e-9
+
+
+def _reference_coefficients_from_raw(raw, greville_steps):
+    """The raw-to-coefficient map as first written (reference, verbatim)."""
+    increments = np.exp(raw - raw.max()) * greville_steps
+    coef = np.empty(len(raw) + 1)
+    coef[0] = 0.0
+    np.cumsum(increments, out=coef[1:])
+    coef[1:] /= coef[-1]
+    return coef
+
+
+def _reference_proxy_objective(f, g, lambda0, ws):
+    """The proxy objective as first written, one numpy call per step.
+
+    Kept verbatim as the reference the lean objective must reproduce bit for
+    bit.
+    """
+    w = f.grid.weights
+    fs = f.samples
+    f_centered = fs - w @ fs
+    f_norm = np.sqrt(w @ (f_centered * f_centered))
+    g_bspline = g.spline
+    basis, deriv, steps = ws.basis, ws.deriv, ws.greville_steps
+
+    def objective(raw: np.ndarray) -> float:
+        coef = _reference_coefficients_from_raw(raw, steps)
+        psi = basis @ coef
+        dpsi = deriv @ coef
+        if not np.all(np.isfinite(dpsi)) or dpsi.min() <= 1e-9:
+            return 2.0  # numerically flat somewhere; 1/dpsi would blow up
+        g_warped = g_bspline(psi)
+        gc = g_warped - w @ g_warped
+        g_norm = np.sqrt(w @ (gc * gc))
+        if g_norm <= ZERO_NORM_TOL:
+            return 2.0
+        r_fwd = np.clip((w @ (f_centered * gc)) / (f_norm * g_norm), -1.0, 1.0)
+        p_fwd = w @ (dpsi - 1.0) ** 2
+        wd = w * dpsi
+        g_mean_w = wd @ g_warped
+        f_mean_w = wd @ fs
+        gcw = g_warped - g_mean_w
+        fcw = fs - f_mean_w
+        denom = np.sqrt((wd @ (gcw * gcw)) * (wd @ (fcw * fcw)))
+        if denom <= ZERO_NORM_TOL**2:
+            return 2.0
+        r_inv = np.clip((wd @ (gcw * fcw)) / denom, -1.0, 1.0)
+        p_inv = wd @ (1.0 / dpsi - 1.0) ** 2
+        rho = 0.5 * ((r_fwd - lambda0 * p_fwd) + (r_inv - lambda0 * p_inv))
+        return -rho if np.isfinite(rho) else 2.0
+
+    return objective
+
+
+class TestProxyObjectiveIdentity:
+    """The lean proxy objective returns the reference's float, bit for bit."""
+
+    @pytest.mark.parametrize("grid_fixture, lambda0", [("grid100", 0.5), ("grid500", 0.0)])
+    def test_bit_identical_on_random_raws(self, grid_fixture, lambda0, request):
+        grid = request.getfixturevalue(grid_fixture)
+        rng = np.random.default_rng(20)
+        f = random_smooth_curve(0, grid, rng)
+        g = random_smooth_curve(1, grid, rng)
+        ws = warping._workspace(grid, warping.DEFAULT_SPLINES)
+        lean = warping._proxy_objective(f, g, lambda0, ws)
+        reference = _reference_proxy_objective(f, g, lambda0, ws)
+
+        raws = rng.normal(0.0, 1.0, (2400, ws.n_raw)) * rng.uniform(0.01, 3.0, (2400, 1))
+        # an end entry far below the rest makes dpsi vanish at 0 or 1 and hits
+        # the 2.0 guard; interior and upward outliers may or may not
+        raws[:100][np.arange(100), rng.choice([0, ws.n_raw - 1], 100)] = -40.0
+        raws[100:150][np.arange(50), rng.integers(0, ws.n_raw, 50)] = -40.0
+        raws[150:160][np.arange(10), rng.integers(0, ws.n_raw, 10)] = 40.0
+        raws[160] = np.nan
+
+        lean_values = [lean(raw) for raw in raws]
+        ref_values = [reference(raw) for raw in raws]
+        assert lean_values == ref_values
+        steps = ws.greville_steps
+        for raw in raws:
+            assert (
+                warping._coefficients_from_raw(raw, steps).tobytes()
+                == _reference_coefficients_from_raw(raw, steps).tobytes()
+            )
+        assert sum(v == 2.0 for v in ref_values) >= 100
+        assert sum(v != 2.0 for v in ref_values) >= 2000
+
+    def test_optimize_warping_identical_to_reference(self, grid100, grid500, monkeypatch):
+        rng = np.random.default_rng(21)
+        cases = [(grid100, 0.5), (grid100, 0.0), (grid500, 0.0)]
+        pairs = [
+            (random_smooth_curve(0, grid, rng), random_smooth_curve(1, grid, rng), lambda0)
+            for grid, lambda0 in cases
+        ]
+        lean = [optimize_warping(f, g, lambda0) for f, g, lambda0 in pairs]
+        monkeypatch.setattr(warping, "_proxy_objective", _reference_proxy_objective)
+        reference = [optimize_warping(f, g, lambda0) for f, g, lambda0 in pairs]
+        for (warp, parts), (ref_warp, ref_parts) in zip(lean, reference):
+            assert warp.forward.coefficients.tobytes() == ref_warp.forward.coefficients.tobytes()
+            assert parts.rho == ref_parts.rho
