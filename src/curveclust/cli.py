@@ -47,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantile-a", type=float, default=0.25)
     p.add_argument("--grid", type=int, default=_DEFAULT_GRID)
     p.add_argument("--max-iter", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_cluster)
 
@@ -99,7 +98,6 @@ def _cmd_cluster(args) -> int:
         dunn_intra=args.dunn_intra,
         grid_size=args.grid,
         max_iterations=args.max_iter,
-        seed=args.seed,
     )
     names, curves = _load_curves(args.input, config)
     result = run(curves, config)

@@ -109,6 +109,16 @@ def assign_groups(
     )
 
 
+def reference_member(group: Sequence[int], matrix) -> int:
+    """The member with the largest mean similarity to the rest of its group;
+    ties go to the smallest id."""
+    group = sorted(group)
+    mean_rho = {
+        m: np.mean([matrix.rho(m, o) for o in group if o != m]) for m in group
+    }
+    return sorted(group, key=lambda m: (-mean_rho[m], m))[0]
+
+
 def combine_group(
     group: Sequence[int],
     curves_by_id: dict,
@@ -117,18 +127,15 @@ def combine_group(
 ) -> Curve:
     """Merge a group into one representative curve.
 
-    The reference is the member with the largest mean similarity to the rest;
-    every other member is warped onto it through the cached pairwise warp, and
-    the pooled samples are fit by weighted least squares with each member's
-    original-curve count as weight.
+    The reference is the group's `reference_member`; every other member is
+    warped onto it through the cached pairwise warp, and the pooled samples
+    are fit by weighted least squares with each member's original-curve count
+    as weight.
     """
     group = sorted(group)
     if len(group) < 2:
         raise InvalidInputError("combination needs a group of at least 2 curves")
-    mean_rho = {
-        m: np.mean([matrix.rho(m, o) for o in group if o != m]) for m in group
-    }
-    reference = sorted(group, key=lambda m: (-mean_rho[m], m))[0]
+    reference = reference_member(group, matrix)
     ref_curve = curves_by_id[reference]
     grid = ref_curve.grid
 

@@ -15,46 +15,34 @@ DUNN_INTRA = ("J1", "J2")
 
 @dataclass(eq=False)
 class DistanceMatrix:
-    """Symmetric dissimilarities keyed by unordered id pairs; d(a, a) = 0."""
+    """Symmetric dissimilarities as one array, indexed through the id -> row
+    map of the similarity matrix they come from; d(a, a) = 0."""
 
-    _entries: dict
-
-    def d(self, a, b) -> float:
-        if a == b:
-            return 0.0
-        key = (a, b) if (a, b) in self._entries else (b, a)
-        return self._entries[key]
-
-    @property
-    def ids(self):
-        seen = set()
-        for a, b in self._entries:
-            seen.add(a)
-            seen.add(b)
-        return sorted(seen)
+    array: np.ndarray
+    row: dict
 
 
 def distances_from_similarity(matrix) -> DistanceMatrix:
     """d = 1 - rho, floored at 0 (rho can dip below 0 with penalties)."""
-    return DistanceMatrix(
-        {pair: max(0.0, 1.0 - matrix.rho(*pair)) for pair in matrix.pairs()}
-    )
+    return DistanceMatrix(np.maximum(0.0, 1.0 - matrix.array), matrix.row)
 
 
 def silhouette(groups, dist: DistanceMatrix) -> float:
     """Mean silhouette width; elements in singleton groups score 0."""
-    groups = [list(g) for g in groups]
+    # each group as its rows, in the group's own iteration order
+    groups = [[dist.row[x] for x in g] for g in groups]
     if len(groups) < 2:
         raise UndefinedIndexError("silhouette needs at least 2 groups")
     scores = []
     for gi, group in enumerate(groups):
-        for x in group:
+        for k, x in enumerate(group):
             if len(group) == 1:
                 scores.append(0.0)
                 continue
-            a = float(np.mean([dist.d(x, y) for y in group if y != x]))
+            d = dist.array[x]
+            a = float(np.mean(d[group[:k] + group[k + 1 :]]))
             b = min(
-                float(np.mean([dist.d(x, y) for y in other]))
+                float(np.mean(d[other]))
                 for gj, other in enumerate(groups)
                 if gj != gi
             )
@@ -64,27 +52,25 @@ def silhouette(groups, dist: DistanceMatrix) -> float:
 
 
 def _inter_distance(ga, gb, dist, variant):
-    values = [dist.d(x, y) for x in ga for y in gb]
+    values = dist.array[ga][:, gb].ravel()
     if variant == "I1":
-        return min(values)
+        return float(values.min())
     if variant == "I2":
-        return max(values)
+        return float(values.max())
     if variant == "I3":
         return float(np.mean(values))
     raise InvalidInputError(f"unknown inter-cluster distance: {variant!r}")
 
 
 def _intra_distance(group, dist, variant):
-    group = list(group)
     if len(group) < 2:
         return 0.0
-    values = [
-        dist.d(group[i], group[j])
-        for i in range(len(group))
-        for j in range(i + 1, len(group))
-    ]
+    # pairs i < j in the group's order, row by row
+    values = np.concatenate(
+        [dist.array[x, group[i + 1 :]] for i, x in enumerate(group[:-1])]
+    )
     if variant == "J1":
-        return max(values)
+        return float(values.max())
     if variant == "J2":
         return float(np.mean(values))
     raise InvalidInputError(f"unknown intra-cluster distance: {variant!r}")
@@ -96,7 +82,7 @@ def dunn(groups, dist: DistanceMatrix, inter: str = "I1", intra: str = "J1") -> 
     A zero denominator (all groups singletons or zero-diameter) returns the
     infinite-index sentinel float('inf').
     """
-    groups = [list(g) for g in groups]
+    groups = [[dist.row[x] for x in g] for g in groups]
     if len(groups) < 2:
         raise UndefinedIndexError("Dunn index needs at least 2 groups")
     numer = min(

@@ -114,9 +114,8 @@ def result_json(result, names: List[str]) -> str:
         "index_value": _json_value(result.index_value),
         "iterations": result.iterations,
         "candidates": candidates,
+        "warps": {names[i]: samples for i, samples in sorted(result.warps.items())},
     }
-    if result.warps is not None:
-        data["warps"] = {names[i]: samples for i, samples in sorted(result.warps.items())}
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -15,12 +15,13 @@ from .combining import (
     assign_groups,
     candidate_partition,
     combine_group,
+    reference_member,
 )
 from .curves import Curve, smooth_curve
 from .errors import DegenerateDataError, InvalidInputError
 from .indices import DistanceMatrix, distances_from_similarity, index_function
-from .similarity import PairCache, similarity_matrix
-from .splines import DEFAULT_SPLINES, SplineSettings, uniform_grid
+from .similarity import PairCache, SimilarityMatrix, similarity_matrix
+from .splines import DEFAULT_SPLINES, SplineSettings, check_time_points, uniform_grid
 from .updating import update_all, weight_exponent
 from .warping import DEFAULT_OPTIMIZER, OptimizerSettings
 
@@ -44,8 +45,6 @@ class RunConfig:
     stability_tol: float = 1e-3
     optimizer: OptimizerSettings = field(default_factory=lambda: DEFAULT_OPTIMIZER)
     splines: SplineSettings = field(default_factory=lambda: DEFAULT_SPLINES)
-    seed: int = 0
-    include_warps: bool = True
 
     def __post_init__(self):
         if self.lambda0 < 0:
@@ -87,7 +86,7 @@ class RunResult:
     index_value: float
     iterations: int
     candidates: List[CandidateRecord]
-    warps: Optional[Dict[int, list]]
+    warps: Dict[int, list]
     logs: Dict[float, List[IterationLog]]
 
 
@@ -103,13 +102,8 @@ def combination_thresholds(original_sims, a: float = 0.25):
 
 def prepare_curves(points, rows, config: RunConfig, ids=None) -> List[Curve]:
     """Smooth raw observations onto the shared run grid."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 1 or len(points) < 4:
-        raise InvalidInputError("need at least 4 time points")
-    if np.any(np.diff(points) <= 0):
-        raise InvalidInputError("time points must be strictly increasing")
-    if abs(points[0]) > 1e-9 or abs(points[-1] - 1.0) > 1e-9:
-        raise InvalidInputError("time points must start at 0 and end at 1")
+    # smoothed on the caller's own points, not on a grid's snapped copy
+    points = check_time_points(points)
     grid = uniform_grid(config.grid_size)
     rows = np.asarray(rows, dtype=float)
     if ids is None:
@@ -127,13 +121,7 @@ class _Shared:
         self.config = config
         self.cache = PairCache()
         self.originals = originals
-        self.matrix = similarity_matrix(
-            originals,
-            config.lambda0,
-            opts=config.optimizer,
-            settings=config.splines,
-            cache=self.cache,
-        )
+        self.matrix = self.build_matrix(originals)
         self.original_dist = distances_from_similarity(self.matrix)
         self.index_fn = index_function(config.index, config.dunn_inter, config.dunn_intra)
         sims = self.matrix.values()
@@ -142,16 +130,19 @@ class _Shared:
         # exponent works; thresholds are computed (and rejected) in run()
         self.tau = weight_exponent(below_one) if below_one else 1.0
 
-    def score_original(self, groups) -> float:
-        """Index of a partition of original ids; -inf when unrankable
-        (fewer than 2 groups, or a non-finite index value)."""
-        groups = [set(g) for g in groups]
-        if len(groups) < 2:
-            return -math.inf
-        value = self.index_fn(groups, self.original_dist)
-        return value if math.isfinite(value) else -math.inf
+    def build_matrix(self, curves) -> SimilarityMatrix:
+        config = self.config
+        return similarity_matrix(
+            curves,
+            config.lambda0,
+            opts=config.optimizer,
+            settings=config.splines,
+            cache=self.cache,
+        )
 
-    def score_current(self, groups, dist: DistanceMatrix) -> float:
+    def score(self, groups, dist: DistanceMatrix) -> float:
+        """Index of a partition on `dist`; -inf when unrankable (fewer than
+        2 groups, or a non-finite index value)."""
         if len(groups) < 2:
             return -math.inf
         value = self.index_fn(groups, dist)
@@ -170,6 +161,11 @@ def run_single_threshold(shared: _Shared, c_star: float):
     log: List[IterationLog] = []
     iterations = 0
 
+    def score_original(groups):
+        # index calls on original ids see each group as a fresh set, whose
+        # iteration order is the order the index sums in
+        return shared.score([set(g) for g in groups], shared.original_dist)
+
     for iteration in range(1, config.max_iterations + 1):
         iterations = iteration
         bank = {c.id: c for c in curves}
@@ -177,11 +173,12 @@ def run_single_threshold(shared: _Shared, c_star: float):
         dist_current = distances_from_similarity(matrix)
 
         def nu_updated(groups):
-            return shared.score_current(groups, dist_current)
+            return shared.score(groups, dist_current)
 
         def nu0(groups):
-            expanded = [set().union(*(members_of[c] for c in g)) for g in groups]
-            return shared.score_original(expanded)
+            return score_original(
+                [set().union(*(members_of[c] for c in g)) for g in groups]
+            )
 
         partial = assign_groups(list(bank), matrix, c_star, nu_updated)
         n_comb = len(partial.groups)
@@ -193,7 +190,7 @@ def run_single_threshold(shared: _Shared, c_star: float):
                 records.append(
                     CandidateRecord(
                         partition=part,
-                        score=shared.score_original(part.groups),
+                        score=score_original(part.groups),
                         threshold=c_star,
                         iteration=iteration,
                     )
@@ -208,22 +205,10 @@ def run_single_threshold(shared: _Shared, c_star: float):
             if len(curves) == 1:
                 log.append(IterationLog(iteration, 1.0, n_comb))
                 break
-            matrix = similarity_matrix(
-                curves,
-                config.lambda0,
-                opts=config.optimizer,
-                settings=config.splines,
-                cache=shared.cache,
-            )
+            matrix = shared.build_matrix(curves)
 
         curves = update_all(curves, matrix, config.lambda0, shared.tau, config.splines)
-        matrix = similarity_matrix(
-            curves,
-            config.lambda0,
-            opts=config.optimizer,
-            settings=config.splines,
-            cache=shared.cache,
-        )
+        matrix = shared.build_matrix(curves)
         mean = matrix.mean_rho()
         log.append(IterationLog(iteration, mean, n_comb))
         if abs(mean - prev_mean) < config.stability_tol:
@@ -239,7 +224,7 @@ def run_single_threshold(shared: _Shared, c_star: float):
         records = [
             CandidateRecord(
                 partition=singles,
-                score=shared.score_original(singles.groups),
+                score=score_original(singles.groups),
                 threshold=c_star,
                 iteration=iterations,
             )
@@ -253,16 +238,8 @@ def _final_warps(partition: Partition, shared: _Shared):
     ts = np.linspace(0.0, 1.0, 101)
     out = {}
     for group in partition.groups:
-        members = sorted(group)
-        if len(members) == 1:
-            out[members[0]] = [[float(t), float(t)] for t in ts]
-            continue
-        mean_rho = {
-            m: float(np.mean([shared.matrix.rho(m, o) for o in members if o != m]))
-            for m in members
-        }
-        reference = sorted(members, key=lambda m: (-mean_rho[m], m))[0]
-        for m in members:
+        reference = min(group) if len(group) == 1 else reference_member(group, shared.matrix)
+        for m in sorted(group):
             if m == reference:
                 out[m] = [[float(t), float(t)] for t in ts]
             else:
@@ -293,7 +270,6 @@ def run(curves: List[Curve], config: RunConfig) -> RunResult:
         key=lambda r: (-r.score, len(r.partition.groups), r.threshold),
     )[0]
     final = Partition(groups=winner.partition.groups, index_value=winner.score)
-    warps = _final_warps(final, shared) if config.include_warps else None
     return RunResult(
         partition=final,
         threshold=winner.threshold,
@@ -301,6 +277,6 @@ def run(curves: List[Curve], config: RunConfig) -> RunResult:
         index_value=winner.score,
         iterations=iteration_count[winner.threshold],
         candidates=all_records,
-        warps=warps,
+        warps=_final_warps(final, shared),
         logs=logs,
     )

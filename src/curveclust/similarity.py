@@ -1,8 +1,8 @@
 """Pairwise penalized similarity: correlation of aligned curves minus the
 time-variation penalty, symmetrized over direction, with matrix-level caching.
 
-One warp is stored per unordered pair; reading the pair in the opposite order
-swaps the warp's forward and inverse splines, so the cached similarity is
+One warp is optimized per unordered pair; the opposite order reads the same
+warp with its forward and inverse splines swapped, so the stored similarity is
 symmetric by construction.
 """
 
@@ -15,7 +15,6 @@ import numpy as np
 
 from .curves import Curve
 from .errors import InvalidInputError
-from .products import center_inner, centered_norm, corr  # re-exported: spec surface
 from .warping import (
     DEFAULT_OPTIMIZER,
     DEFAULT_SPLINES,
@@ -27,9 +26,6 @@ from .warping import (
 )
 
 __all__ = [
-    "center_inner",
-    "centered_norm",
-    "corr",
     "SimilarityEntry",
     "SimilarityMatrix",
     "PairCache",
@@ -95,67 +91,60 @@ class PairCache:
 
     Keys include curve content, the penalty parameter and optimizer settings, so
     entries survive combination/updating passes for curves that did not change.
+    Each entry is stored under both orders of the pair.
     """
 
     def __init__(self):
         self._store: dict = {}
 
-    @staticmethod
-    def _key(f: Curve, g: Curve, lambda0: float, opts, settings) -> tuple:
-        a, b = sorted((f.content_key, g.content_key))
-        return (a, b, float(lambda0), opts, settings)
-
     def get(
         self, f: Curve, g: Curve, lambda0: float, opts, settings
     ) -> Optional[SimilarityEntry]:
-        entry = self._store.get(self._key(f, g, lambda0, opts, settings))
-        if entry is None:
-            return None
-        stored_first, _ = entry
-        if stored_first == f.content_key:
-            return entry[1]
-        return entry[1].swapped()
+        key = (f.content_key, g.content_key, float(lambda0), opts, settings)
+        return self._store.get(key)
 
     def put(self, f: Curve, g: Curve, lambda0: float, opts, settings, entry: SimilarityEntry):
-        self._store[self._key(f, g, lambda0, opts, settings)] = (f.content_key, entry)
-
-    def __len__(self) -> int:
-        return len(self._store)
+        rest = (float(lambda0), opts, settings)
+        # written second, so a pair of equal contents reads the entry as given
+        self._store[(g.content_key, f.content_key) + rest] = entry.swapped()
+        self._store[(f.content_key, g.content_key) + rest] = entry
 
 
 class SimilarityMatrix:
-    """Similarity entries for all unordered pairs of a curve collection."""
+    """Similarities of all pairs of a curve collection: rho as one symmetric
+    array over the sorted ids (diagonal 1), and the aligning warp of every
+    ordered pair.
+
+    `entries` maps each unordered pair of `ids`, in either order, to its
+    SimilarityEntry.
+    """
 
     def __init__(self, entries: dict, ids: list):
-        self._entries = entries
-        self.ids = list(ids)
-
-    def entry(self, a, b) -> SimilarityEntry:
-        if a == b:
-            raise InvalidInputError("no self-similarity entries")
-        if (a, b) in self._entries:
-            return self._entries[(a, b)]
-        return self._entries[(b, a)].swapped()
+        self.row = {curve_id: i for i, curve_id in enumerate(sorted(ids))}
+        n = len(self.row)
+        if len(entries) != n * (n - 1) // 2:
+            raise InvalidInputError("need one similarity entry per pair of ids")
+        self.array = np.eye(n)
+        self._warps = {}
+        for (a, b), entry in entries.items():
+            i, j = self.row[a], self.row[b]
+            self.array[i, j] = self.array[j, i] = entry.rho
+            self._warps[a, b] = entry.warp
+            self._warps[b, a] = entry.warp.swapped()
 
     def rho(self, a, b) -> float:
-        key = (a, b) if (a, b) in self._entries else (b, a)
-        return self._entries[key].rho
+        return self.array.item(self.row[a], self.row[b])
 
     def warp(self, a, b) -> Warping:
         """The warp aligning curve a to curve b."""
-        return self.entry(a, b).warp
+        return self._warps[a, b]
 
     def values(self) -> list:
-        return [e.rho for _, e in sorted(self._entries.items())]
+        """Pair similarities in row-major order over the upper triangle."""
+        return self.array[np.triu_indices(len(self.row), 1)].tolist()
 
     def mean_rho(self) -> float:
         return float(np.mean(self.values()))
-
-    def pairs(self):
-        return sorted(self._entries.keys())
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 def similarity_matrix(

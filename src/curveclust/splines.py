@@ -81,15 +81,21 @@ def trapezoid_weights(points: np.ndarray) -> np.ndarray:
     return w
 
 
-def make_grid(points) -> Grid:
+def check_time_points(points) -> np.ndarray:
+    """The points as a float array, once they are checked to span [0, 1]:
+    1-D, at least 4 of them, strictly increasing, ends within 1e-9 of 0 and 1."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or len(pts) < 4:
-        raise InvalidInputError("time grid needs at least 4 points")
+        raise InvalidInputError("need at least 4 time points")
     if np.any(np.diff(pts) <= 0):
-        raise InvalidInputError("time grid must be strictly increasing")
+        raise InvalidInputError("time points must be strictly increasing")
     if abs(pts[0]) > _EDGE_TOL or abs(pts[-1] - 1.0) > _EDGE_TOL:
-        raise InvalidInputError("time grid must start at 0 and end at 1")
-    pts = pts.copy()
+        raise InvalidInputError("time points must start at 0 and end at 1")
+    return pts
+
+
+def make_grid(points) -> Grid:
+    pts = check_time_points(points).copy()
     pts[0], pts[-1] = 0.0, 1.0
     return Grid(points=pts, weights=trapezoid_weights(pts), key=pts.tobytes())
 

@@ -21,13 +21,8 @@ from .errors import (
     InvalidInputError,
     MissingSimilaritiesError,
 )
-from .products import (
-    center_inner,
-    centered_norm,
-    warp_weighted_inner,
-    warp_weighted_mean,
-)
-from .splines import DEFAULT_SPLINES, Grid, SplineSettings, derivative, evaluate
+from .products import center_inner, centered_norm, warp_weighted_inner
+from .splines import DEFAULT_SPLINES, SplineSettings, derivative, evaluate
 from .warping import Warping, rho_parts
 
 W_FLOOR = 1e-6
@@ -59,24 +54,6 @@ def weight_exponent(original_sims) -> float:
     return math.log(0.5) / math.log(ind_max)
 
 
-def _warp_derivative(warp: Warping, grid: Grid) -> np.ndarray:
-    return evaluate(derivative(warp.forward), grid.points)
-
-
-def weighted_mean(f_samples: np.ndarray, psi: Warping, grid: Grid) -> float:
-    """Mean of f against the warp-derivative measure."""
-    return warp_weighted_mean(f_samples, _warp_derivative(psi, grid), grid.weights)
-
-
-def weighted_inner(
-    f_samples: np.ndarray, g_samples: np.ndarray, psi: Warping, grid: Grid
-) -> float:
-    """Warp-weighted centered inner product of two sampled curves."""
-    return warp_weighted_inner(
-        f_samples, g_samples, _warp_derivative(psi, grid), grid.weights
-    )
-
-
 class _Quantities:
     """Per-target arrays shared by weight selection and the shrinkage bound."""
 
@@ -92,7 +69,7 @@ class _Quantities:
         self.dpsi = np.empty((k, n))
         for j, (other, warp) in enumerate(zip(ctx.others, ctx.warps)):
             self.warped[j] = other.spline(np.clip(warp.forward(grid.points), 0.0, 1.0))
-            self.dpsi[j] = _warp_derivative(warp, grid)
+            self.dpsi[j] = evaluate(derivative(warp.forward), grid.points)
         self.norms = np.array([centered_norm(h, w) for h in self.warped])
         if np.any(self.norms <= 1e-12):
             raise DegenerateSeminormError("warped neighbor has zero seminorm")

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from curveclust.curves import normalize, refit_on_grid
+from curveclust.indices import DistanceMatrix
 from curveclust.splines import uniform_grid
 
 hypothesis.settings.register_profile(
@@ -42,3 +43,15 @@ def random_smooth_curve(curve_id, grid, rng, n_modes=4):
         for m in range(1, n_modes + 1)
     )
     return normalize(refit_on_grid(curve_id, grid, y))
+
+
+def pair_distances(distances):
+    """DistanceMatrix over the sorted ids of a dict of unordered id pairs to
+    distances; pairs left out read NaN."""
+    ids = sorted({i for pair in distances for i in pair})
+    row = {curve_id: k for k, curve_id in enumerate(ids)}
+    array = np.full((len(ids), len(ids)), np.nan)
+    np.fill_diagonal(array, 0.0)
+    for (a, b), value in distances.items():
+        array[row[a], row[b]] = array[row[b], row[a]] = value
+    return DistanceMatrix(array, row)

@@ -225,7 +225,7 @@ class TestCriterion9Determinism:
             assert main(
                 [
                     "cluster", "--input", str(curves), "--lambda0", "0.1",
-                    "--grid", "80", "--max-iter", "3", "--seed", "5",
+                    "--grid", "80", "--max-iter", "3",
                     "--output", str(out),
                 ]
             ) == 0

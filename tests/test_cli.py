@@ -94,7 +94,7 @@ class TestCluster:
             code = main(
                 [
                     "cluster", "--input", str(curves), "--lambda0", "0.25",
-                    "--grid", "80", "--max-iter", "3", "--seed", "7",
+                    "--grid", "80", "--max-iter", "3",
                     "--output", str(out),
                 ]
             )
@@ -207,6 +207,21 @@ class TestExitCodes:
             [
                 "cluster", "--input", str(tmp_path / "none.csv"), "--lambda0", "0.0",
                 "--output", str(tmp_path / "out.json"),
+            ]
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "points",
+        [[0.0, 0.5, 1.0], [0.0, 0.4, 0.3, 1.0], [0.1, 0.4, 0.7, 1.0], [0.0, 0.3, 0.6, 0.9]],
+    )
+    def test_bad_time_points_invalid_input(self, tmp_path, points):
+        path = tmp_path / "bad.csv"
+        write_curves_csv(path, ["0", "1"], points, [np.sin(points), np.cos(points)])
+        code = main(
+            [
+                "cluster", "--input", str(path), "--lambda0", "0.0",
+                "--grid", "60", "--output", str(tmp_path / "out.json"),
             ]
         )
         assert code == 2

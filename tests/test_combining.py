@@ -8,11 +8,11 @@ from curveclust.combining import (
     PartialClustering,
 )
 from curveclust.curves import refit_on_grid
-from curveclust.indices import DistanceMatrix, silhouette
+from curveclust.indices import silhouette
 from curveclust.similarity import similarity_matrix
 from curveclust.splines import uniform_grid
 
-from .conftest import sine_shape
+from .conftest import pair_distances, sine_shape
 
 
 class FakeMatrix:
@@ -31,7 +31,7 @@ class FakeMatrix:
 
 
 def silhouette_nu(matrix):
-    dist = DistanceMatrix({p: max(0.0, 1.0 - matrix.rho(*p)) for p in matrix.pairs()})
+    dist = pair_distances({p: max(0.0, 1.0 - matrix.rho(*p)) for p in matrix.pairs()})
 
     def nu(groups):
         return silhouette(groups, dist)
@@ -153,7 +153,7 @@ class TestCombineGroup:
 
 
 def pinned_nu0(distances):
-    dist = DistanceMatrix(dict(distances))
+    dist = pair_distances(distances)
 
     def nu0(groups):
         return silhouette(groups, dist)

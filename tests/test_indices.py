@@ -3,18 +3,125 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from curveclust.errors import ElementMismatchError, UndefinedIndexError
+from curveclust.errors import ElementMismatchError, InvalidInputError, UndefinedIndexError
 from curveclust.indices import (
-    DistanceMatrix,
+    DUNN_INTER,
+    DUNN_INTRA,
     adjusted_rand,
+    distances_from_similarity,
     dunn,
     index_function,
     silhouette,
 )
+from curveclust.similarity import SimilarityEntry, SimilarityMatrix
+from curveclust.warping import identity_warping
+
+from .conftest import pair_distances as pinned
 
 
-def pinned(distances):
-    return DistanceMatrix(dict(distances))
+class ReferenceDistances:
+    """The dict-of-pairs distance store the array store replaced."""
+
+    def __init__(self, entries):
+        self._entries = entries
+
+    def d(self, a, b) -> float:
+        if a == b:
+            return 0.0
+        key = (a, b) if (a, b) in self._entries else (b, a)
+        return self._entries[key]
+
+
+def reference_silhouette(groups, dist) -> float:
+    groups = [list(g) for g in groups]
+    if len(groups) < 2:
+        raise UndefinedIndexError("silhouette needs at least 2 groups")
+    scores = []
+    for gi, group in enumerate(groups):
+        for x in group:
+            if len(group) == 1:
+                scores.append(0.0)
+                continue
+            a = float(np.mean([dist.d(x, y) for y in group if y != x]))
+            b = min(
+                float(np.mean([dist.d(x, y) for y in other]))
+                for gj, other in enumerate(groups)
+                if gj != gi
+            )
+            top = max(a, b)
+            scores.append(0.0 if top == 0.0 else (b - a) / top)
+    return float(np.mean(scores))
+
+
+def reference_inter_distance(ga, gb, dist, variant):
+    values = [dist.d(x, y) for x in ga for y in gb]
+    if variant == "I1":
+        return min(values)
+    if variant == "I2":
+        return max(values)
+    if variant == "I3":
+        return float(np.mean(values))
+    raise InvalidInputError(f"unknown inter-cluster distance: {variant!r}")
+
+
+def reference_intra_distance(group, dist, variant):
+    group = list(group)
+    if len(group) < 2:
+        return 0.0
+    values = [
+        dist.d(group[i], group[j])
+        for i in range(len(group))
+        for j in range(i + 1, len(group))
+    ]
+    if variant == "J1":
+        return max(values)
+    if variant == "J2":
+        return float(np.mean(values))
+    raise InvalidInputError(f"unknown intra-cluster distance: {variant!r}")
+
+
+def reference_dunn(groups, dist, inter="I1", intra="J1") -> float:
+    groups = [list(g) for g in groups]
+    if len(groups) < 2:
+        raise UndefinedIndexError("Dunn index needs at least 2 groups")
+    numer = min(
+        reference_inter_distance(groups[i], groups[j], dist, inter)
+        for i in range(len(groups))
+        for j in range(i + 1, len(groups))
+    )
+    denom = max(reference_intra_distance(g, dist, intra) for g in groups)
+    if denom == 0.0:
+        return float("inf")
+    return numer / denom
+
+
+def reference_values(entries) -> list:
+    return [e.rho for _, e in sorted(entries.items())]
+
+
+def random_case(seed, string_ids):
+    """Seeded similarity entries over 2-14 ids (some rho below 0, some
+    repeated) and a random partition with singletons, each group listed in
+    shuffled order."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 15))
+    ids = [f"c{k}" for k in range(n)] if string_ids else list(range(n))
+    ids = sorted(ids)
+    if seed % 3 == 0:
+        rhos = rng.choice([-0.2, 0.3, 0.9, 1.0], size=n * n)
+    else:
+        rhos = rng.uniform(-0.3, 1.0, n * n)
+    warp = identity_warping()
+    entries = {
+        (ids[i], ids[j]): SimilarityEntry(float(rhos[i * n + j]), warp, 0.0, 0.0, 0.0, 0.0)
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    labels = rng.integers(0, int(rng.integers(2, n + 1)), n)
+    labels[:2] = [0, 1]  # at least two groups
+    order = [ids[k] for k in rng.permutation(n)]
+    groups = [[x for x in order if labels[ids.index(x)] == g] for g in np.unique(labels)]
+    return ids, entries, groups
 
 
 class TestSilhouette:
@@ -132,3 +239,31 @@ class TestIndexFunction:
         groups = [{"a", "b"}, {"c"}]
         assert index_function("silhouette")(groups, dist) == pytest.approx(0.6)
         assert index_function("dunn", "I1", "J1")(groups, dist) == pytest.approx(10.0)
+
+
+class TestArrayStoreMatchesPairStore:
+    """The array-backed matrix and indices give the same floats, bit for bit,
+    as the dict-of-pairs code they replaced."""
+
+    @pytest.mark.parametrize("string_ids", [False, True])
+    @given(st.integers(0, 10_000))
+    def test_indices_and_values_identical(self, string_ids, seed):
+        ids, entries, groups = random_case(seed, string_ids)
+        matrix = SimilarityMatrix(entries, list(reversed(ids)))
+        assert matrix.values() == reference_values(entries)
+        assert matrix.mean_rho() == float(np.mean(reference_values(entries)))
+        dist = distances_from_similarity(matrix)
+        ref = ReferenceDistances({p: max(0.0, 1.0 - e.rho) for p, e in entries.items()})
+        for shape in (list, set):
+            parts = [shape(g) for g in groups]
+            assert silhouette(parts, dist) == reference_silhouette(parts, ref)
+            for inter in DUNN_INTER:
+                for intra in DUNN_INTRA:
+                    assert dunn(parts, dist, inter, intra) == reference_dunn(
+                        parts, ref, inter, intra
+                    )
+
+    def test_cases_cover_singletons_and_unsorted_groups(self):
+        cases = [random_case(seed, False) for seed in range(40)]
+        assert any(any(len(g) == 1 for g in groups) for _, _, groups in cases)
+        assert any(any(g != sorted(g) for g in groups) for _, _, groups in cases)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curveclust.curves import refit_on_grid
+from curveclust.curves import refit_on_grid, smooth_curve
 from curveclust.errors import DegenerateDataError, InvalidInputError
 from curveclust.pipeline import (
     RunConfig,
@@ -52,6 +52,17 @@ class TestPrepareCurves:
     def test_bad_grid_rejected(self):
         with pytest.raises(InvalidInputError):
             prepare_curves(np.linspace(0.2, 1, 60), [np.linspace(0, 1, 60)], RunConfig(lambda0=0.0))
+
+    def test_smooths_on_unsnapped_points(self):
+        # ends within the 1e-9 tolerance are accepted but not moved to 0 and 1
+        points = np.linspace(0, 1, 60)
+        points[0], points[-1] = 4e-10, 1.0 - 5e-10
+        row = np.sin(3 * points)
+        curve = prepare_curves(points, [row], RunConfig(lambda0=0.0, grid_size=100))[0]
+        own = smooth_curve(0, points, row, uniform_grid(100))
+        snapped = smooth_curve(0, np.linspace(0, 1, 60), row, uniform_grid(100))
+        np.testing.assert_array_equal(curve.samples, own.samples)
+        assert not np.array_equal(curve.samples, snapped.samples)
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):

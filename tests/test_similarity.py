@@ -4,17 +4,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from curveclust.curves import refit_on_grid
-from curveclust.errors import ZeroVarianceError
+from curveclust.errors import InvalidInputError, ZeroVarianceError
+from curveclust.products import center_inner, corr
 from curveclust.similarity import (
     PairCache,
-    center_inner,
-    corr,
+    SimilarityEntry,
+    SimilarityMatrix,
     rho_given_psi,
     similarity,
     similarity_matrix,
 )
 from curveclust.splines import uniform_grid
-from curveclust.warping import identity_warping, make_warping, n_raw_params, power_warp_raw
+from curveclust.warping import (
+    DEFAULT_OPTIMIZER,
+    DEFAULT_SPLINES,
+    identity_warping,
+    make_warping,
+    n_raw_params,
+    power_warp_raw,
+)
 
 from .conftest import bump_shape, random_smooth_curve, sine_shape
 
@@ -171,7 +179,7 @@ class TestSimilarityMatrix:
             refit_on_grid(2, grid, bump_shape(grid.points)),
         ]
         matrix = similarity_matrix(curves, 0.0)
-        assert len(matrix) == 3
+        assert len(matrix.values()) == 3
 
     def test_symmetric_lookup(self):
         grid = uniform_grid(100)
@@ -181,9 +189,31 @@ class TestSimilarityMatrix:
         ]
         matrix = similarity_matrix(curves, 0.2)
         assert matrix.rho(0, 1) == matrix.rho(1, 0)
-        fwd = matrix.entry(0, 1)
-        rev = matrix.entry(1, 0)
-        assert fwd.r_fwd == rev.r_inv and fwd.penalty_fwd == rev.penalty_inv
+        assert matrix.warp(1, 0).forward is matrix.warp(0, 1).inverse
+        assert matrix.warp(1, 0).inverse is matrix.warp(0, 1).forward
+
+    @given(st.integers(0, 10_000))
+    def test_lookup_symmetric_for_any_id_order(self, seed):
+        rng = np.random.default_rng(seed)
+        ids = [f"c{k}" for k in rng.permutation(int(rng.integers(2, 7)))]
+        entries = {}
+        for i, a in enumerate(ids):
+            for b in ids[i + 1 :]:
+                warp = make_warping(rng.normal(0, 0.5, n_raw_params()))
+                entries[(a, b)] = SimilarityEntry(float(rng.uniform(-1, 1)), warp, 0, 0, 0, 0)
+        matrix = SimilarityMatrix(entries, ids)
+        for (a, b), entry in entries.items():
+            assert matrix.rho(a, b) == matrix.rho(b, a) == entry.rho
+            assert matrix.warp(a, b) is entry.warp
+            assert matrix.warp(b, a).forward is matrix.warp(a, b).inverse
+            assert matrix.warp(b, a).inverse is matrix.warp(a, b).forward
+        for a in ids:
+            assert matrix.rho(a, a) == 1.0
+
+    def test_missing_pair_rejected(self):
+        entries = {(0, 1): SimilarityEntry(0.5, identity_warping(), 0, 0, 0, 0)}
+        with pytest.raises(InvalidInputError):
+            SimilarityMatrix(entries, [0, 1, 2])
 
     def test_recomputation_deterministic(self):
         grid = uniform_grid(100)
@@ -204,6 +234,12 @@ class TestSimilarityMatrix:
         ]
         cache = PairCache()
         first = similarity_matrix(curves, 0.0, cache=cache)
-        assert len(cache) == 1
+        settings = (0.0, DEFAULT_OPTIMIZER, DEFAULT_SPLINES)
+        fwd = cache.get(curves[0], curves[1], *settings)
+        rev = cache.get(curves[1], curves[0], *settings)
+        assert fwd.warp is first.warp(0, 1)
+        assert rev.warp.forward is fwd.warp.inverse
+        assert rev.r_fwd == fwd.r_inv and rev.penalty_fwd == fwd.penalty_inv
         second = similarity_matrix(curves, 0.0, cache=cache)
         assert second.rho(0, 1) == first.rho(0, 1)
+        assert second.warp(0, 1) is fwd.warp  # read from the cache, not recomputed

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from curveclust.curves import normalize, refit_on_grid
 from curveclust.errors import MissingSimilaritiesError
-from curveclust.products import warp_weighted_inner
-from curveclust.similarity import center_inner, similarity_matrix
-from curveclust.splines import uniform_grid
+from curveclust.products import center_inner, warp_weighted_inner, warp_weighted_mean
+from curveclust.similarity import similarity_matrix
+from curveclust.splines import derivative, evaluate, uniform_grid
 from curveclust.updating import (
     UpdateContext,
     _Quantities,
@@ -20,8 +20,6 @@ from curveclust.updating import (
     update_curve,
     verify_improvement,
     weight_exponent,
-    weighted_inner,
-    weighted_mean,
 )
 from curveclust.warping import identity_warping, make_warping, n_raw_params, power_warp_raw
 
@@ -49,31 +47,38 @@ def make_context(rng, k, lambda0=0.0, tau=1.0, sims=None, n_js=None, raw_scale=0
     )
 
 
+def warp_derivative(warp):
+    return evaluate(derivative(warp.forward), GRID.points)
+
+
 class TestWeightedInner:
     def test_identity_warp_matches_plain_inner(self):
         rng = np.random.default_rng(0)
         f, g = rng.normal(size=len(GRID)), rng.normal(size=len(GRID))
         plain = center_inner(f, g, GRID.weights)
-        weighted = weighted_inner(f, g, identity_warping(), GRID)
+        weighted = warp_weighted_inner(f, g, warp_derivative(identity_warping()), GRID.weights)
         assert weighted == pytest.approx(plain, abs=1e-10)
 
     def test_constant_curve_gives_zero(self):
         warp = make_warping(power_warp_raw(1.5))
         f = np.full(len(GRID), 2.0)
         g = np.sin(GRID.points)
-        assert weighted_inner(f, g, warp, GRID) == pytest.approx(0.0, abs=1e-10)
+        assert warp_weighted_inner(f, g, warp_derivative(warp), GRID.weights) == pytest.approx(
+            0.0, abs=1e-10
+        )
 
     def test_weighted_mean_square_warp(self):
         # with psi = t^2, E f = int t * 2t dt = 2/3 for f(t) = t
         warp = make_warping(power_warp_raw(2.0))
-        assert weighted_mean(GRID.points, warp, GRID) == pytest.approx(2.0 / 3.0, abs=1e-3)
+        mean = warp_weighted_mean(GRID.points, warp_derivative(warp), GRID.weights)
+        assert mean == pytest.approx(2.0 / 3.0, abs=1e-3)
 
     @given(st.integers(0, 200))
     def test_positive_semidefinite(self, seed):
         rng = np.random.default_rng(seed)
         f = rng.normal(size=len(GRID))
         warp = make_warping(rng.normal(0, 0.6, n_raw_params()))
-        assert weighted_inner(f, f, warp, GRID) >= -1e-12
+        assert warp_weighted_inner(f, f, warp_derivative(warp), GRID.weights) >= -1e-12
 
 
 class TestWeightExponent:
@@ -174,8 +179,6 @@ def reference_shrinkage(ctx, theta):
         return float(w @ (uc * vc))
 
     warped = [o.spline(np.clip(wp.forward(grid.points), 0, 1)) for o, wp in zip(ctx.others, ctx.warps)]
-    from curveclust.splines import derivative, evaluate
-
     dpsis = [evaluate(derivative(wp.forward), grid.points) for wp in ctx.warps]
     norms = [math.sqrt(plain(h, h)) for h in warped]
     unit = [h / c for h, c in zip(warped, norms)]
