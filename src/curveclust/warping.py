@@ -11,7 +11,11 @@ quadratic spline space.
 from __future__ import annotations
 
 import math
+import os
+import signal
+import threading
 from dataclasses import dataclass
+from multiprocessing.connection import Pipe
 from typing import NamedTuple
 
 import numpy as np
@@ -363,6 +367,181 @@ def _budgeted_nelder_mead(objective, x0: np.ndarray, opts: OptimizerSettings) ->
     return x
 
 
+_start_cache: dict = {}
+
+
+def _start_points(opts: OptimizerSettings, settings: SplineSettings) -> tuple:
+    """The distinct starts of the multi-start search (identity first) and the
+    warp of each.
+
+    Built once per start list and spline settings and shared by every later
+    search, so the arrays are read-only.
+    """
+    key = (opts.power_starts, settings)
+    cached = _start_cache.get(key)
+    if cached is not None:
+        return cached
+    starts = []
+    seen = set()
+    for alpha in opts.power_starts:
+        raw = power_warp_raw(alpha, settings)
+        if raw.tobytes() not in seen:
+            seen.add(raw.tobytes())
+            starts.append(raw)
+    identity = np.zeros(n_raw_params(settings))
+    if identity.tobytes() not in seen:
+        identity.flags.writeable = False
+        starts.insert(0, identity)
+    warps = [make_warping(raw, settings) for raw in starts]
+    for warp in warps:
+        warp.forward.coefficients.flags.writeable = False
+        warp.inverse.coefficients.flags.writeable = False
+    cached = _start_cache[key] = (starts, warps)
+    return cached
+
+
+def _spare_cpus() -> int:
+    """CPUs of this process's affinity mask beyond the one it runs on."""
+    if not hasattr(os, "sched_getaffinity"):  # no affinity mask here; run alone
+        return 0
+    return len(os.sched_getaffinity(0)) - 1
+
+
+def _serve(conn) -> None:
+    """A helper's loop: run each start list the parent sends and send back the
+    final points, until the parent's end of the pipe closes."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # interrupts are the parent's to handle
+    while True:
+        try:
+            f, g, lambda0, ws, opts, starts = conn.recv()
+        except EOFError:
+            return
+        try:
+            objective = _proxy_objective(f, g, lambda0, ws)
+            reply = [_budgeted_nelder_mead(objective, raw, opts) for raw in starts]
+        except Exception as exc:
+            reply = exc
+        conn.send(reply)
+
+
+class _Helper:
+    """A forked process that runs `_serve` on one end of a pipe."""
+
+    def __init__(self, older: list):
+        self.conn, child = Pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            try:
+                # with only its own end open, the helper reads EOF once the
+                # parent exits, and the parent reads EOF once the helper dies
+                self.conn.close()
+                for helper in older:
+                    helper.conn.close()
+                _serve(child)
+            finally:
+                os._exit(0)
+        child.close()
+
+    def send(self, task) -> None:
+        try:
+            self.conn.send(task)
+        except OSError:
+            pass  # the helper has died; recv says so
+
+    def recv(self):
+        """The final points of the last task, or None if the helper has died."""
+        try:
+            reply = self.conn.recv()
+        except (EOFError, OSError):
+            return None
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    def close(self) -> None:
+        self.conn.close()
+        try:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass  # reaped already, by a SIGCHLD handler set to ignore
+
+
+class _HelperPool:
+    """Helper processes, forked on first use and kept for later searches.
+
+    One search at a time uses them; a search in another thread meanwhile runs
+    all of its starts itself.
+    """
+
+    def __init__(self):
+        self.owner = None
+        self.helpers = []
+        self.lock = threading.Lock()
+
+    def claim(self, count: int) -> list:
+        """`count` helpers, forking any that are missing, or none if `count` is
+        below 1 or another search holds them; `release` gives them back."""
+        if self.owner != os.getpid():  # a forked copy: the helpers are its parent's
+            self.owner, self.helpers, self.lock = os.getpid(), [], threading.Lock()
+        if count < 1 or not self.lock.acquire(blocking=False):
+            return []
+        try:
+            while len(self.helpers) < count:
+                self.helpers.append(_Helper(self.helpers))
+        except BaseException:
+            self.lock.release()
+            raise
+        return self.helpers[:count]
+
+    def release(self, helpers: list) -> None:
+        if helpers:
+            self.lock.release()
+
+    def discard(self, helpers: list) -> None:
+        """Kill these helpers; later searches fork new ones in their place."""
+        for helper in helpers:
+            if helper in self.helpers:
+                self.helpers.remove(helper)
+                helper.close()
+
+
+_HELPERS = _HelperPool()
+
+
+def _final_points(f, g, lambda0, ws, opts, starts) -> list:
+    """The Nelder-Mead final point of each start, in start order.
+
+    With k helpers (one per spare CPU, at most one per start after the
+    first) the starts are dealt round-robin: the caller runs positions
+    0, k + 1, 2k + 2, ... and helper i runs positions i, i + k + 1, ....  A
+    start runs the same code on the same inputs wherever it runs, so the final
+    points do not depend on k.  A helper that has died is replaced, and its
+    starts run in the caller.
+    """
+    helpers = _HELPERS.claim(min(_spare_cpus(), len(starts) - 1))
+    share = len(helpers) + 1
+    finals = [None] * len(starts)
+    try:
+        for i, helper in enumerate(helpers, 1):
+            helper.send((f, g, lambda0, ws, opts, starts[i::share]))
+        objective = _proxy_objective(f, g, lambda0, ws)
+        finals[::share] = [_budgeted_nelder_mead(objective, raw, opts) for raw in starts[::share]]
+        for i, helper in enumerate(helpers, 1):
+            reply = helper.recv()
+            if reply is None:
+                _HELPERS.discard([helper])
+                reply = [_budgeted_nelder_mead(objective, raw, opts) for raw in starts[i::share]]
+            finals[i::share] = reply
+    except BaseException:
+        # a reply left unread would be taken for the next search's
+        _HELPERS.discard(helpers)
+        raise
+    finally:
+        _HELPERS.release(helpers)
+    return finals
+
+
 def optimize_warping(
     f: Curve,
     g: Curve,
@@ -372,7 +551,8 @@ def optimize_warping(
 ) -> tuple:
     """Maximize the penalized similarity of f and g over the warp family.
 
-    Nelder-Mead multi-start: identity plus projections of fixed power warps.
+    Nelder-Mead multi-start: identity plus projections of fixed power warps,
+    shared with helper processes on spare CPUs (see `_final_points`).
     All start and final points are re-scored exactly (inverse spline included);
     the best exact value wins, so the result never falls below the identity
     alignment and matches rho_parts at the returned warp to machine precision.
@@ -382,31 +562,20 @@ def optimize_warping(
     ):
         raise ZeroVarianceError("similarity is undefined for constant curves")
     ws = _workspace(f.grid, settings)
-    objective = _proxy_objective(f, g, lambda0, ws)
+    starts, start_warps = _start_points(opts, settings)
 
-    starts = []
-    seen = set()
-    for alpha in opts.power_starts:
-        raw = np.zeros(ws.n_raw) if alpha == 1.0 else power_warp_raw(alpha, settings)
-        key = raw.tobytes()
-        if key not in seen:
-            seen.add(key)
-            starts.append(raw)
-    identity = np.zeros(ws.n_raw)
-    if identity.tobytes() not in seen:
-        starts.insert(0, identity)
-
-    candidates = list(starts)
-    for raw in starts:
-        final = _budgeted_nelder_mead(objective, raw, opts)
+    seen = {raw.tobytes() for raw in starts}
+    candidates = list(zip(starts, start_warps))
+    for final in _final_points(f, g, lambda0, ws, opts, starts):
         if final.tobytes() not in seen:
             seen.add(final.tobytes())
-            candidates.append(final)
+            candidates.append((final, None))
 
     best_warp, best_parts = None, None
-    for raw in candidates:
+    for raw, warp in candidates:
         try:
-            warp = make_warping(raw, settings)
+            if warp is None:
+                warp = make_warping(raw, settings)
             parts = rho_parts(f, g, warp, lambda0)
         except (MonotonicityError, WarpRangeError, ZeroVarianceError):
             continue  # search drifted into a numerically flat warp

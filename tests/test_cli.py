@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from curveclust import warping
 from curveclust.cli import main
 from curveclust.io import (
     read_curves_csv,
@@ -101,6 +102,21 @@ class TestCluster:
             assert code == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_same_bytes_with_zero_one_and_two_helpers(self, s31_dataset, tmp_path, monkeypatch):
+        outputs = []
+        for count in (0, 1, 2):
+            monkeypatch.setattr(warping, "_spare_cpus", lambda: count)
+            out = tmp_path / f"helpers{count}.json"
+            code = main(
+                [
+                    "cluster", "--input", str(s31_dataset), "--lambda0", "0.5",
+                    "--grid", "100", "--max-iter", "3", "--output", str(out),
+                ]
+            )
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_dunn_index_flags(self, small_dataset, tmp_path):
         curves, _ = small_dataset

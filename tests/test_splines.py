@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.interpolate import BSpline
 
 from curveclust.errors import (
     InvalidInputError,
@@ -142,6 +143,23 @@ class TestEvaluate:
         spline = SplineRep(2, uniform_interior_knots(3), np.linspace(0, 1, 6))
         with pytest.raises(InvalidInputError):
             evaluate(spline, np.array([0.5, 1.2]))
+
+
+class TestUncheckedConstruction:
+    """`SplineRep` builds its scipy spline without the validating constructor;
+    values and derivatives must not change by a bit."""
+
+    @pytest.mark.parametrize("degree, n_knots", [(1, 0), (2, 3), (2, 23), (3, 16)])
+    def test_values_and_derivatives_byte_equal(self, degree, n_knots):
+        rng = np.random.default_rng(degree * 100 + n_knots)
+        knots = uniform_interior_knots(n_knots)
+        x = np.linspace(0.0, 1.0, 2001)
+        for _ in range(5):
+            spline = SplineRep(degree, knots, rng.normal(size=n_basis(degree, knots)))
+            checked = BSpline(spline.knots, spline.coefficients, degree, extrapolate=False)
+            assert spline(x).tobytes() == checked(x).tobytes()
+            der = derivative(spline)
+            assert der(x).tobytes() == checked.derivative(1)(x).tobytes()
 
 
 class TestDerivative:

@@ -1,18 +1,26 @@
+import contextlib
+import os
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from curveclust import warping
+from curveclust.combining import assign_groups, candidate_partition, combine_group
 from curveclust.curves import refit_on_grid
 from curveclust.errors import InvalidParameterError, MonotonicityError
+from curveclust.indices import distances_from_similarity, silhouette
 from curveclust.products import ZERO_NORM_TOL
+from curveclust.similarity import SimilarityMatrix, rho_given_psi, similarity
 from curveclust.splines import (
     SplineRep,
     derivative,
     evaluate,
     uniform_interior_knots,
 )
+from curveclust.updating import update_all, weight_exponent
 from curveclust.warping import (
     OptimizerSettings,
     identity_warping,
@@ -243,9 +251,154 @@ class TestProxyObjectiveIdentity:
             (random_smooth_curve(0, grid, rng), random_smooth_curve(1, grid, rng), lambda0)
             for grid, lambda0 in cases
         ]
+        # every start in this process, where the patched objective is seen;
+        # a helper keeps the objective it was forked with
+        monkeypatch.setattr(warping, "_spare_cpus", lambda: 0)
         lean = [optimize_warping(f, g, lambda0) for f, g, lambda0 in pairs]
         monkeypatch.setattr(warping, "_proxy_objective", _reference_proxy_objective)
         reference = [optimize_warping(f, g, lambda0) for f, g, lambda0 in pairs]
         for (warp, parts), (ref_warp, ref_parts) in zip(lean, reference):
             assert warp.forward.coefficients.tobytes() == ref_warp.forward.coefficients.tobytes()
             assert parts.rho == ref_parts.rho
+
+
+@pytest.fixture()
+def spare_cpus(monkeypatch):
+    """Sets how many spare CPUs, and so helper processes, a search sees."""
+
+    def set_count(count):
+        monkeypatch.setattr(warping, "_spare_cpus", lambda: count)
+
+    return set_count
+
+
+def _entry_bytes(entry):
+    return (
+        entry.rho,
+        entry.warp.forward.coefficients.tobytes(),
+        entry.warp.inverse.coefficients.tobytes(),
+    )
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestHelperProcesses:
+    """Starts shared with helper processes give the serial search's bytes."""
+
+    @pytest.fixture()
+    def pairs(self, grid100, grid500):
+        rng = np.random.default_rng(22)
+        cases = [(grid100, 0.5), (grid100, 0.0), (grid500, 0.0)]
+        return [
+            (random_smooth_curve(0, grid, rng), random_smooth_curve(1, grid, rng), lambda0)
+            for grid, lambda0 in cases
+        ]
+
+    def test_same_bytes_with_zero_one_and_two_helpers(self, pairs, spare_cpus):
+        results = []
+        for count in (0, 1, 2):
+            spare_cpus(count)
+            results.append([_entry_bytes(similarity(f, g, lambda0)) for f, g, lambda0 in pairs])
+            assert len(warping._HELPERS.helpers) >= count
+        assert results[0] == results[1] == results[2]
+
+    def test_final_points_come_back_in_start_order(self, pairs, spare_cpus):
+        f, g, lambda0 = pairs[0]
+        ws = warping._workspace(f.grid, warping.DEFAULT_SPLINES)
+        opts = warping.DEFAULT_OPTIMIZER
+        starts, _ = warping._start_points(opts, warping.DEFAULT_SPLINES)
+        objective = warping._proxy_objective(f, g, lambda0, ws)
+        serial = [warping._budgeted_nelder_mead(objective, raw, opts).tobytes() for raw in starts]
+        assert len(set(serial)) == len(starts)
+        for count in (1, 2, 4):
+            spare_cpus(count)
+            finals = warping._final_points(f, g, lambda0, ws, opts, starts)
+            assert [x.tobytes() for x in finals] == serial
+
+    def test_start_warps_are_shared_and_read_only(self):
+        starts, warps = warping._start_points(warping.DEFAULT_OPTIMIZER, warping.DEFAULT_SPLINES)
+        again = warping._start_points(warping.DEFAULT_OPTIMIZER, warping.DEFAULT_SPLINES)
+        assert again[1] is warps and len(starts) == len(warps) == 5
+        for raw, warp in zip(starts, warps):
+            built = make_warping(raw)
+            assert warp.forward.coefficients.tobytes() == built.forward.coefficients.tobytes()
+            assert warp.inverse.coefficients.tobytes() == built.inverse.coefficients.tobytes()
+            with pytest.raises(ValueError):
+                warp.forward.coefficients[0] = 1.0
+
+    def test_caller_failure_leaves_no_stale_reply(self, pairs, spare_cpus, monkeypatch):
+        (f0, g0, lam0), (f1, g1, lam1) = pairs[:2]
+        spare_cpus(0)
+        serial = _entry_bytes(similarity(f1, g1, lam1))
+        spare_cpus(1)
+        similarity(f0, g0, lam0)  # the helper is forked with the real search
+
+        def fails(objective, x0, opts):
+            raise RuntimeError("caller's start failed")
+
+        monkeypatch.setattr(warping, "_budgeted_nelder_mead", fails)
+        with pytest.raises(RuntimeError):
+            similarity(f0, g0, lam0)  # the helper's reply to this pair goes unread
+        monkeypatch.undo()
+        spare_cpus(1)
+        with _time_limit(60):
+            assert _entry_bytes(similarity(f1, g1, lam1)) == serial
+
+    def test_killed_helper_is_replaced(self, pairs, spare_cpus):
+        f, g, lambda0 = pairs[0]
+        spare_cpus(0)
+        serial = _entry_bytes(similarity(f, g, lambda0))
+        spare_cpus(1)
+        similarity(f, g, lambda0)
+        killed = warping._HELPERS.helpers[0].pid
+        os.kill(killed, signal.SIGKILL)
+        with _time_limit(60):
+            assert _entry_bytes(similarity(f, g, lambda0)) == serial
+            assert _entry_bytes(similarity(f, g, lambda0)) == serial
+        assert warping._HELPERS.helpers[0].pid != killed
+
+    def test_stages_without_warping_fork_no_helper(self, grid100, spare_cpus, monkeypatch):
+        spare_cpus(1)
+        monkeypatch.setattr(warping, "_HELPERS", warping._HelperPool())
+
+        def no_fork(older):
+            raise AssertionError("a helper was forked")
+
+        monkeypatch.setattr(warping, "_Helper", no_fork)
+        rng = np.random.default_rng(23)
+        curves = [random_smooth_curve(i, grid100, rng) for i in range(8)]
+        identity = identity_warping()
+        matrix = SimilarityMatrix(
+            {
+                (f.id, g.id): rho_given_psi(f, g, identity, 0.5)
+                for i, f in enumerate(curves)
+                for g in curves[i + 1 :]
+            },
+            [c.id for c in curves],
+        )
+        dist = distances_from_similarity(matrix)
+        sims = matrix.values()
+        c_star = float(np.quantile(sims, 0.75))
+
+        def nu(groups):
+            return silhouette([set(g) for g in groups], dist) if len(groups) > 1 else -np.inf
+
+        bank = {c.id: c for c in curves}
+        partial = assign_groups(list(bank), matrix, c_star, nu)
+        candidate_partition(partial, matrix, c_star, nu, {i: frozenset([i]) for i in bank})
+        for group in partial.groups:
+            combine_group(group, bank, matrix)
+        update_all(curves, matrix, 0.5, weight_exponent(sims))
+        assert partial.groups and warping._HELPERS.helpers == []
