@@ -10,7 +10,7 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from .curves import Curve
-from .errors import InternalConsistencyError, InvalidInputError
+from .errors import InvalidInputError
 from .splines import DEFAULT_SPLINES, SplineSettings, evaluate, fit_least_squares
 
 
@@ -144,12 +144,7 @@ def combine_group(
         if m == reference:
             continue
         curve = curves_by_id[m]
-        try:
-            warp = matrix.warp(m, reference)
-        except KeyError as exc:
-            raise InternalConsistencyError(
-                f"missing pairwise warp for ({m}, {reference})"
-            ) from exc
+        warp = matrix.warp(m, reference)
         ts.append(np.clip(warp.forward(grid.points), 0.0, 1.0))
         ys.append(curve.samples)
         ws.append(np.full(len(grid), float(curve.n_orig)))

@@ -24,19 +24,11 @@ class UnsupportedDegreeError(InvalidInputError):
     pass
 
 
-class SingularFitError(CurveClustError):
+class SingularFitError(InvalidInputError):
     """Rank-deficient or hopelessly ill-conditioned least-squares design."""
-
-    def __init__(self, message, condition=None):
-        super().__init__(message)
-        self.condition = condition
 
 
 class ZeroVarianceError(DegenerateDataError):
-    pass
-
-
-class DegenerateSeminormError(DegenerateDataError):
     pass
 
 
@@ -61,8 +53,4 @@ class UndefinedIndexError(CurveClustError):
 
 
 class ElementMismatchError(InvalidInputError):
-    pass
-
-
-class InternalConsistencyError(CurveClustError):
     pass

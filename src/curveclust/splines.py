@@ -170,9 +170,8 @@ def basis_matrix(x, degree: int, interior_knots) -> np.ndarray:
 def fit_least_squares(x, y, weights, degree: int, interior_knots) -> SplineRep:
     """Weighted least-squares spline fit to scattered samples.
 
-    Solved through an orthogonal factorization; raises SingularFitError with the
-    condition estimate when the design is rank deficient or conditioning exceeds
-    MAX_CONDITION.
+    Solved through an orthogonal factorization; raises SingularFitError when the
+    design is rank deficient or its condition estimate exceeds MAX_CONDITION.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -193,8 +192,7 @@ def fit_least_squares(x, y, weights, degree: int, interior_knots) -> SplineRep:
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if rank < nb or cond > MAX_CONDITION:
         raise SingularFitError(
-            f"singular least-squares design (rank {rank}/{nb}, cond {cond:.3e})",
-            condition=cond,
+            f"singular least-squares design (rank {rank}/{nb}, cond {cond:.3e})"
         )
     return SplineRep(degree=degree, interior_knots=interior, coefficients=coef)
 

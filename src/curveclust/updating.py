@@ -17,7 +17,7 @@ import numpy as np
 
 from .curves import Curve, normalize, refit_on_grid
 from .errors import (
-    DegenerateSeminormError,
+    DegenerateDataError,
     InvalidInputError,
     MissingSimilaritiesError,
 )
@@ -72,7 +72,7 @@ class _Quantities:
             self.dpsi[j] = evaluate(derivative(warp.forward), grid.points)
         self.norms = np.array([centered_norm(h, w) for h in self.warped])
         if np.any(self.norms <= 1e-12):
-            raise DegenerateSeminormError("warped neighbor has zero seminorm")
+            raise DegenerateDataError("warped neighbor has zero seminorm")
         self.unit = self.warped / self.norms[:, None]
         # plain centered inner products with the target
         self.ip_f1 = np.array([center_inner(self.f1, h, w) for h in self.warped])
@@ -87,7 +87,7 @@ class _Quantities:
             d = self.dpsi[l]
             nw = warp_weighted_inner(self.f1, self.f1, d, w)
             if nw <= 1e-12:
-                raise DegenerateSeminormError(
+                raise DegenerateDataError(
                     "target has zero warp-weighted seminorm for a neighbor"
                 )
             self.f1_wnorms[l] = math.sqrt(nw)

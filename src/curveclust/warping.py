@@ -11,11 +11,13 @@ quadratic spline space.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import signal
 import threading
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from multiprocessing.connection import Pipe
 from typing import NamedTuple
 
 import numpy as np
@@ -212,27 +214,17 @@ def invert_warping(psi: SplineRep, settings: SplineSettings = DEFAULT_SPLINES) -
     )
 
 
-_power_raw_cache: dict = {}
-
-
 def power_warp_raw(alpha: float, settings: SplineSettings = DEFAULT_SPLINES) -> np.ndarray:
     """Raw parameters whose warp is the least-squares projection of t**alpha."""
-    key = (round(float(alpha), 12), settings)
-    cached = _power_raw_cache.get(key)
-    if cached is not None:
-        return cached
     steps = np.diff(greville_abscissae(settings.warp_degree, settings.warp_interior()))
     if alpha == 1.0:
-        raw = np.zeros_like(steps)
-    else:
-        coef = _pinned_fit(
-            _DENSE, _DENSE**alpha, settings.warp_degree, settings.warp_interior(), 0.0, 1.0
-        )
-        increments = np.maximum(np.diff(coef), 1e-4 * steps)
-        raw = np.log(increments / steps)
-        raw -= raw.mean()
-    raw.flags.writeable = False  # shared by every later caller
-    _power_raw_cache[key] = raw
+        return np.zeros_like(steps)
+    coef = _pinned_fit(
+        _DENSE, _DENSE**alpha, settings.warp_degree, settings.warp_interior(), 0.0, 1.0
+    )
+    increments = np.maximum(np.diff(coef), 1e-4 * steps)
+    raw = np.log(increments / steps)
+    raw -= raw.mean()
     return raw
 
 
@@ -390,10 +382,10 @@ def _start_points(opts: OptimizerSettings, settings: SplineSettings) -> tuple:
             starts.append(raw)
     identity = np.zeros(n_raw_params(settings))
     if identity.tobytes() not in seen:
-        identity.flags.writeable = False
         starts.insert(0, identity)
     warps = [make_warping(raw, settings) for raw in starts]
-    for warp in warps:
+    for raw, warp in zip(starts, warps):
+        raw.flags.writeable = False
         warp.forward.coefficients.flags.writeable = False
         warp.inverse.coefficients.flags.writeable = False
     cached = _start_cache[key] = (starts, warps)
@@ -407,106 +399,40 @@ def _spare_cpus() -> int:
     return len(os.sched_getaffinity(0)) - 1
 
 
-def _serve(conn) -> None:
-    """A helper's loop: run each start list the parent sends and send back the
-    final points, until the parent's end of the pipe closes."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # interrupts are the parent's to handle
-    while True:
-        try:
-            f, g, lambda0, ws, opts, starts = conn.recv()
-        except EOFError:
-            return
-        try:
-            objective = _proxy_objective(f, g, lambda0, ws)
-            reply = [_budgeted_nelder_mead(objective, raw, opts) for raw in starts]
-        except Exception as exc:
-            reply = exc
-        conn.send(reply)
+def _run_starts(f, g, lambda0, ws, opts, starts) -> list:
+    """The Nelder-Mead final point of each of `starts`."""
+    objective = _proxy_objective(f, g, lambda0, ws)
+    return [_budgeted_nelder_mead(objective, raw, opts) for raw in starts]
 
 
-class _Helper:
-    """A forked process that runs `_serve` on one end of a pipe."""
-
-    def __init__(self, older: list):
-        self.conn, child = Pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            try:
-                # with only its own end open, the helper reads EOF once the
-                # parent exits, and the parent reads EOF once the helper dies
-                self.conn.close()
-                for helper in older:
-                    helper.conn.close()
-                _serve(child)
-            finally:
-                os._exit(0)
-        child.close()
-
-    def send(self, task) -> None:
-        try:
-            self.conn.send(task)
-        except OSError:
-            pass  # the helper has died; recv says so
-
-    def recv(self):
-        """The final points of the last task, or None if the helper has died."""
-        try:
-            reply = self.conn.recv()
-        except (EOFError, OSError):
-            return None
-        if isinstance(reply, Exception):
-            raise reply
-        return reply
-
-    def close(self) -> None:
-        self.conn.close()
-        try:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-        except (ProcessLookupError, ChildProcessError):
-            pass  # reaped already, by a SIGCHLD handler set to ignore
+def _helper_init() -> None:
+    """Runs first in each helper: interrupts are the caller's to handle, and
+    the helper exits once the caller has, however the caller ended."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    caller = multiprocessing.parent_process()
+    threading.Thread(target=lambda: (caller.join(), os._exit(0)), daemon=True).start()
 
 
-class _HelperPool:
-    """Helper processes, forked on first use and kept for later searches.
-
-    One search at a time uses them; a search in another thread meanwhile runs
-    all of its starts itself.
-    """
-
-    def __init__(self):
-        self.owner = None
-        self.helpers = []
-        self.lock = threading.Lock()
-
-    def claim(self, count: int) -> list:
-        """`count` helpers, forking any that are missing, or none if `count` is
-        below 1 or another search holds them; `release` gives them back."""
-        if self.owner != os.getpid():  # a forked copy: the helpers are its parent's
-            self.owner, self.helpers, self.lock = os.getpid(), [], threading.Lock()
-        if count < 1 or not self.lock.acquire(blocking=False):
-            return []
-        try:
-            while len(self.helpers) < count:
-                self.helpers.append(_Helper(self.helpers))
-        except BaseException:
-            self.lock.release()
-            raise
-        return self.helpers[:count]
-
-    def release(self, helpers: list) -> None:
-        if helpers:
-            self.lock.release()
-
-    def discard(self, helpers: list) -> None:
-        """Kill these helpers; later searches fork new ones in their place."""
-        for helper in helpers:
-            if helper in self.helpers:
-                self.helpers.remove(helper)
-                helper.close()
+_pool = None  # (owner pid, helper count, executor), made on first use
 
 
-_HELPERS = _HelperPool()
+def _helpers(count: int, replace: bool = False) -> ProcessPoolExecutor:
+    """A pool of at least `count` helper processes forked from this process,
+    kept for later searches; `replace` makes a new one in place of a broken
+    pool.  Threads share the pool; replacing it assumes no other thread is
+    mid-search."""
+    global _pool
+    pid = os.getpid()
+    if _pool is not None and _pool[0] == pid:
+        if _pool[1] >= count and not replace:
+            return _pool[2]
+        _pool[2].shutdown(wait=False, cancel_futures=True)
+    # a forked copy of the process leaves its parent's pool alone
+    executor = ProcessPoolExecutor(
+        count, mp_context=multiprocessing.get_context("fork"), initializer=_helper_init
+    )
+    _pool = (pid, count, executor)
+    return executor
 
 
 def _final_points(f, g, lambda0, ws, opts, starts) -> list:
@@ -514,31 +440,33 @@ def _final_points(f, g, lambda0, ws, opts, starts) -> list:
 
     With k helpers (one per spare CPU, at most one per start after the
     first) the starts are dealt round-robin: the caller runs positions
-    0, k + 1, 2k + 2, ... and helper i runs positions i, i + k + 1, ....  A
-    start runs the same code on the same inputs wherever it runs, so the final
-    points do not depend on k.  A helper that has died is replaced, and its
-    starts run in the caller.
+    0, k + 1, 2k + 2, ... and helper share i runs positions i, i + k + 1, ....
+    A start runs the same code on the same inputs wherever it runs, so the
+    final points do not depend on k.  A share whose helper dies runs in the
+    caller, and the next search forks a new pool.
     """
-    helpers = _HELPERS.claim(min(_spare_cpus(), len(starts) - 1))
-    share = len(helpers) + 1
-    finals = [None] * len(starts)
+    k = min(_spare_cpus(), len(starts) - 1)
+    if k < 1:
+        return _run_starts(f, g, lambda0, ws, opts, starts)
+    share = k + 1
+
+    def submit(executor):
+        return [
+            executor.submit(_run_starts, f, g, lambda0, ws, opts, starts[i::share])
+            for i in range(1, share)
+        ]
+
     try:
-        for i, helper in enumerate(helpers, 1):
-            helper.send((f, g, lambda0, ws, opts, starts[i::share]))
-        objective = _proxy_objective(f, g, lambda0, ws)
-        finals[::share] = [_budgeted_nelder_mead(objective, raw, opts) for raw in starts[::share]]
-        for i, helper in enumerate(helpers, 1):
-            reply = helper.recv()
-            if reply is None:
-                _HELPERS.discard([helper])
-                reply = [_budgeted_nelder_mead(objective, raw, opts) for raw in starts[i::share]]
-            finals[i::share] = reply
-    except BaseException:
-        # a reply left unread would be taken for the next search's
-        _HELPERS.discard(helpers)
-        raise
-    finally:
-        _HELPERS.release(helpers)
+        futures = submit(_helpers(k))
+    except BrokenProcessPool:  # a helper died after the last search
+        futures = submit(_helpers(k, replace=True))
+    finals = [None] * len(starts)
+    finals[::share] = _run_starts(f, g, lambda0, ws, opts, starts[::share])
+    for i, future in enumerate(futures, 1):
+        try:
+            finals[i::share] = future.result()
+        except BrokenProcessPool:  # the helper died during this search
+            finals[i::share] = _run_starts(f, g, lambda0, ws, opts, starts[i::share])
     return finals
 
 

@@ -229,7 +229,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "points",
-        [[0.0, 0.5, 1.0], [0.0, 0.4, 0.3, 1.0], [0.1, 0.4, 0.7, 1.0], [0.0, 0.3, 0.6, 0.9]],
+        [
+            [0.0, 0.5, 1.0],
+            [0.0, 0.4, 0.3, 1.0],
+            [0.1, 0.4, 0.7, 1.0],
+            [0.0, 0.3, 0.6, 0.9],
+            # valid, but no smoothing spline can be fit on it
+            [*np.linspace(0.0, 0.1, 30), 1.0],
+        ],
     )
     def test_bad_time_points_invalid_input(self, tmp_path, points):
         path = tmp_path / "bad.csv"

@@ -1,12 +1,17 @@
 import contextlib
 import os
+import select
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import curveclust
 from curveclust import warping
 from curveclust.combining import assign_groups, candidate_partition, combine_group
 from curveclust.curves import refit_on_grid
@@ -54,15 +59,6 @@ class TestMakeWarping:
     def test_power_projection_close(self):
         warp = make_warping(power_warp_raw(2.5))
         assert np.abs(warp.forward(CHECK) - CHECK**2.5).max() <= 0.01
-
-    def test_power_raw_cache_is_read_only(self):
-        first = power_warp_raw(1.5)
-        original = first.copy()
-        with pytest.raises(ValueError):
-            first[0] = 99.0
-        again = power_warp_raw(1.5)
-        np.testing.assert_array_equal(again, original)
-        assert not again.flags.writeable
 
     def test_non_finite_params_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -272,6 +268,11 @@ def spare_cpus(monkeypatch):
     return set_count
 
 
+def _helper_pid(count):
+    """The pid of a helper in the pool that a search with `count` helpers uses."""
+    return warping._helpers(count).submit(os.getpid).result(timeout=60)
+
+
 def _entry_bytes(entry):
     return (
         entry.rho,
@@ -311,7 +312,8 @@ class TestHelperProcesses:
         for count in (0, 1, 2):
             spare_cpus(count)
             results.append([_entry_bytes(similarity(f, g, lambda0)) for f, g, lambda0 in pairs])
-            assert len(warping._HELPERS.helpers) >= count
+            if count:
+                assert _helper_pid(count) != os.getpid()
         assert results[0] == results[1] == results[2]
 
     def test_final_points_come_back_in_start_order(self, pairs, spare_cpus):
@@ -337,6 +339,8 @@ class TestHelperProcesses:
             assert warp.inverse.coefficients.tobytes() == built.inverse.coefficients.tobytes()
             with pytest.raises(ValueError):
                 warp.forward.coefficients[0] = 1.0
+            with pytest.raises(ValueError):
+                raw[0] = 99.0
 
     def test_caller_failure_leaves_no_stale_reply(self, pairs, spare_cpus, monkeypatch):
         (f0, g0, lam0), (f1, g1, lam1) = pairs[:2]
@@ -362,21 +366,82 @@ class TestHelperProcesses:
         serial = _entry_bytes(similarity(f, g, lambda0))
         spare_cpus(1)
         similarity(f, g, lambda0)
-        killed = warping._HELPERS.helpers[0].pid
+        killed = _helper_pid(1)
         os.kill(killed, signal.SIGKILL)
         with _time_limit(60):
             assert _entry_bytes(similarity(f, g, lambda0)) == serial
             assert _entry_bytes(similarity(f, g, lambda0)) == serial
-        assert warping._HELPERS.helpers[0].pid != killed
+            assert _helper_pid(1) != killed
+
+    def test_helper_dying_mid_search_leaves_its_starts_to_the_caller(
+        self, pairs, spare_cpus, monkeypatch
+    ):
+        f, g, lambda0 = pairs[0]
+        spare_cpus(0)
+        serial = _entry_bytes(similarity(f, g, lambda0))
+        caller = os.getpid()
+        search = warping._budgeted_nelder_mead
+
+        def dies_in_helper(objective, x0, opts):
+            if os.getpid() != caller:
+                os._exit(1)
+            return search(objective, x0, opts)
+
+        # a new pool is forked with the dying search in place
+        monkeypatch.setattr(warping, "_budgeted_nelder_mead", dies_in_helper)
+        monkeypatch.setattr(warping, "_pool", None)
+        spare_cpus(1)
+        with _time_limit(60):
+            assert _entry_bytes(similarity(f, g, lambda0)) == serial
+
+    def test_helpers_exit_with_a_killed_caller(self):
+        read_end, write_end = os.pipe()
+        script = (
+            "import os, signal\n"
+            "from curveclust import warping\n"
+            "warping._helpers(2).submit(os.getpid).result()\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        src = str(Path(curveclust.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        with os.fdopen(read_end, "rb", buffering=0) as pipe:
+            try:
+                caller = subprocess.run(
+                    [sys.executable, "-c", script], pass_fds=(write_end,), env=env, timeout=60
+                )
+            finally:
+                os.close(write_end)
+            assert caller.returncode == -signal.SIGKILL
+            # the pipe reads EOF once no process holds its write end: the
+            # caller and the helpers it forked have all exited
+            readable, _, _ = select.select([pipe], [], [], 60)
+            assert readable and pipe.read(1) == b""
+
+    def test_forked_copy_makes_its_own_pool(self, pairs, spare_cpus):
+        f, g, lambda0 = pairs[0]
+        spare_cpus(0)
+        serial = _entry_bytes(similarity(f, g, lambda0))
+        spare_cpus(1)
+        similarity(f, g, lambda0)  # this process's pool now exists
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(60)  # the default action ends a hung copy
+                code = 0 if _entry_bytes(similarity(f, g, lambda0)) == serial else 2
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_stages_without_warping_fork_no_helper(self, grid100, spare_cpus, monkeypatch):
         spare_cpus(1)
-        monkeypatch.setattr(warping, "_HELPERS", warping._HelperPool())
+        monkeypatch.setattr(warping, "_pool", None)
 
-        def no_fork(older):
-            raise AssertionError("a helper was forked")
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a helper pool was forked")
 
-        monkeypatch.setattr(warping, "_Helper", no_fork)
+        monkeypatch.setattr(warping, "ProcessPoolExecutor", no_fork)
         rng = np.random.default_rng(23)
         curves = [random_smooth_curve(i, grid100, rng) for i in range(8)]
         identity = identity_warping()
@@ -401,4 +466,4 @@ class TestHelperProcesses:
         for group in partial.groups:
             combine_group(group, bank, matrix)
         update_all(curves, matrix, 0.5, weight_exponent(sims))
-        assert partial.groups and warping._HELPERS.helpers == []
+        assert partial.groups and warping._pool is None
