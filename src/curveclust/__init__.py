@@ -14,18 +14,10 @@ from .similarity import (
 from .simulation import Scenario, generate, scenario_preset
 from .splines import SplineRep, SplineSettings, uniform_grid
 from .updating import UpdateContext, update_all, update_curve, weight_exponent
-from .warping import (
-    OptimizerSettings,
-    Warping,
-    invert_warping,
-    make_warping,
-    optimize_warping,
-    roughness_penalty,
-)
+from .warping import Warping, invert_warping, make_warping, optimize_warping, roughness_penalty
 
 __all__ = [
     "Curve",
-    "OptimizerSettings",
     "Partition",
     "RunConfig",
     "RunResult",

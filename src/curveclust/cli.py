@@ -145,7 +145,7 @@ def _cmd_align(args) -> int:
         a, b = (index_of[p] for p in parts)
     except KeyError as exc:
         raise InvalidInputError(f"unknown curve id: {exc}") from exc
-    entry = similarity(curves[a], curves[b], args.lambda0, opts=config.optimizer)
+    entry = similarity(curves[a], curves[b], args.lambda0)
     ts = np.linspace(0.0, 1.0, 101)
     warp_vals = np.clip(entry.warp.forward(ts), 0.0, 1.0)
     data = {
@@ -172,7 +172,7 @@ def _cmd_indexes(args) -> int:
             groups.append({index_of[name] for name in group})
         except KeyError as exc:
             raise InvalidInputError(f"unknown curve id in partition: {exc}") from exc
-    matrix = similarity_matrix(curves, args.lambda0, opts=config.optimizer)
+    matrix = similarity_matrix(curves, args.lambda0)
     dist = distances_from_similarity(matrix)
     print(f"silhouette {silhouette(groups, dist):.6f}")
     for inter in DUNN_INTER:

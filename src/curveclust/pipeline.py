@@ -23,7 +23,6 @@ from .indices import DistanceMatrix, distances_from_similarity, index_function
 from .similarity import PairCache, SimilarityMatrix, similarity_matrix
 from .splines import DEFAULT_SPLINES, SplineSettings, check_time_points, uniform_grid
 from .updating import update_all, weight_exponent
-from .warping import DEFAULT_OPTIMIZER, OptimizerSettings
 
 # Four combination thresholds placed just below the chosen similarity quantile.
 THRESHOLD_OFFSETS = tuple(-0.01 + 0.01 * i / 3 for i in range(4))
@@ -43,12 +42,11 @@ class RunConfig:
     grid_size: int = 500
     max_iterations: int = 10
     stability_tol: float = 1e-3
-    optimizer: OptimizerSettings = field(default_factory=lambda: DEFAULT_OPTIMIZER)
     splines: SplineSettings = field(default_factory=lambda: DEFAULT_SPLINES)
 
     def __post_init__(self):
-        if self.lambda0 < 0:
-            raise InvalidInputError("lambda0 must be nonnegative")
+        if not (math.isfinite(self.lambda0) and self.lambda0 >= 0):
+            raise InvalidInputError("lambda0 must be finite and nonnegative")
         if not 0.0 < self.quantile_a < 1.0:
             raise InvalidInputError("quantile_a must lie in (0, 1)")
         if self.max_iterations < 1:
@@ -135,7 +133,6 @@ class _Shared:
         return similarity_matrix(
             curves,
             config.lambda0,
-            opts=config.optimizer,
             settings=config.splines,
             cache=self.cache,
         )

@@ -15,15 +15,7 @@ import numpy as np
 
 from .curves import Curve
 from .errors import InvalidInputError
-from .warping import (
-    DEFAULT_OPTIMIZER,
-    DEFAULT_SPLINES,
-    OptimizerSettings,
-    RhoParts,
-    Warping,
-    optimize_warping,
-    rho_parts,
-)
+from .warping import DEFAULT_SPLINES, RhoParts, Warping, optimize_warping, rho_parts
 
 __all__ = [
     "SimilarityEntry",
@@ -74,22 +66,16 @@ def rho_given_psi(f: Curve, g: Curve, psi: Warping, lambda0: float) -> Similarit
     return _entry_from_parts(rho_parts(f, g, psi, lambda0), psi)
 
 
-def similarity(
-    f: Curve,
-    g: Curve,
-    lambda0: float,
-    opts: OptimizerSettings = DEFAULT_OPTIMIZER,
-    settings=DEFAULT_SPLINES,
-) -> SimilarityEntry:
+def similarity(f: Curve, g: Curve, lambda0: float, settings=DEFAULT_SPLINES) -> SimilarityEntry:
     """Maximized penalized similarity, delegating to the warp optimizer."""
-    warp, parts = optimize_warping(f, g, lambda0, opts=opts, settings=settings)
+    warp, parts = optimize_warping(f, g, lambda0, settings=settings)
     return _entry_from_parts(parts, warp)
 
 
 class PairCache:
     """Content-addressed store of pair entries, shared across matrix rebuilds.
 
-    Keys include curve content, the penalty parameter and optimizer settings, so
+    Keys include curve content, the penalty parameter and spline settings, so
     entries survive combination/updating passes for curves that did not change.
     Each entry is stored under both orders of the pair.
     """
@@ -97,14 +83,12 @@ class PairCache:
     def __init__(self):
         self._store: dict = {}
 
-    def get(
-        self, f: Curve, g: Curve, lambda0: float, opts, settings
-    ) -> Optional[SimilarityEntry]:
-        key = (f.content_key, g.content_key, float(lambda0), opts, settings)
+    def get(self, f: Curve, g: Curve, lambda0: float, settings) -> Optional[SimilarityEntry]:
+        key = (f.content_key, g.content_key, float(lambda0), settings)
         return self._store.get(key)
 
-    def put(self, f: Curve, g: Curve, lambda0: float, opts, settings, entry: SimilarityEntry):
-        rest = (float(lambda0), opts, settings)
+    def put(self, f: Curve, g: Curve, lambda0: float, settings, entry: SimilarityEntry):
+        rest = (float(lambda0), settings)
         # written second, so a pair of equal contents reads the entry as given
         self._store[(g.content_key, f.content_key) + rest] = entry.swapped()
         self._store[(f.content_key, g.content_key) + rest] = entry
@@ -150,7 +134,6 @@ class SimilarityMatrix:
 def similarity_matrix(
     curves,
     lambda0: float,
-    opts: OptimizerSettings = DEFAULT_OPTIMIZER,
     settings=DEFAULT_SPLINES,
     cache: Optional[PairCache] = None,
 ) -> SimilarityMatrix:
@@ -161,12 +144,10 @@ def similarity_matrix(
     entries = {}
     for i, f in enumerate(curves):
         for g in curves[i + 1 :]:
-            entry = (
-                cache.get(f, g, lambda0, opts, settings) if cache is not None else None
-            )
+            entry = cache.get(f, g, lambda0, settings) if cache is not None else None
             if entry is None:
-                entry = similarity(f, g, lambda0, opts=opts, settings=settings)
+                entry = similarity(f, g, lambda0, settings=settings)
                 if cache is not None:
-                    cache.put(f, g, lambda0, opts, settings, entry)
+                    cache.put(f, g, lambda0, settings, entry)
             entries[(f.id, g.id)] = entry
     return SimilarityMatrix(entries, [c.id for c in curves])

@@ -11,12 +11,8 @@ quadratic spline space.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import signal
-import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,19 +44,14 @@ _DENSE = np.linspace(0.0, 1.0, _DENSE_N)
 
 _RANGE_TOL = 1e-9
 
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """Derivative-free search settings for the warp optimizer."""
-
-    power_starts: tuple = (0.7, 0.85, 1.0, 1.18, 1.43)
-    budget_per_start: int = 400
-    simplex_step: float = 0.3
-    xatol: float = 1e-7
-    fatol: float = 1e-12
-
-
-DEFAULT_OPTIMIZER = OptimizerSettings()
+# Derivative-free search settings of the warp optimizer: the exponents of the
+# power-warp starts, the objective evaluations each start may spend, the first
+# simplex edge, and Nelder-Mead's stopping tolerances.
+_POWER_STARTS = (0.7, 0.85, 1.0, 1.18, 1.43)
+_BUDGET_PER_START = 400
+_SIMPLEX_STEP = 0.3
+_XATOL = 1e-7
+_FATOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -334,10 +325,10 @@ def _proxy_objective(f: Curve, g: Curve, lambda0: float, ws: _WarpWorkspace):
     return objective
 
 
-def _budgeted_nelder_mead(objective, x0: np.ndarray, opts: OptimizerSettings) -> np.ndarray:
-    remaining = opts.budget_per_start
+def _budgeted_nelder_mead(objective, x0: np.ndarray) -> np.ndarray:
+    remaining = _BUDGET_PER_START
     x, fx = x0, objective(x0)
-    step = opts.simplex_step
+    step = _SIMPLEX_STEP
     while remaining > 2 * (len(x0) + 1):
         simplex = np.vstack([x] + [x + step * e for e in np.eye(len(x0))])
         res = minimize(
@@ -346,8 +337,8 @@ def _budgeted_nelder_mead(objective, x0: np.ndarray, opts: OptimizerSettings) ->
             method="Nelder-Mead",
             options={
                 "maxfev": remaining,
-                "xatol": opts.xatol,
-                "fatol": opts.fatol,
+                "xatol": _XATOL,
+                "fatol": _FATOL,
                 "initial_simplex": simplex,
             },
         )
@@ -362,20 +353,19 @@ def _budgeted_nelder_mead(objective, x0: np.ndarray, opts: OptimizerSettings) ->
 _start_cache: dict = {}
 
 
-def _start_points(opts: OptimizerSettings, settings: SplineSettings) -> tuple:
+def _start_points(settings: SplineSettings) -> tuple:
     """The distinct starts of the multi-start search (identity first) and the
     warp of each.
 
-    Built once per start list and spline settings and shared by every later
-    search, so the arrays are read-only.
+    Built once per spline settings and shared by every later search, so the
+    arrays are read-only.
     """
-    key = (opts.power_starts, settings)
-    cached = _start_cache.get(key)
+    cached = _start_cache.get(settings)
     if cached is not None:
         return cached
     starts = []
     seen = set()
-    for alpha in opts.power_starts:
+    for alpha in _POWER_STARTS:
         raw = power_warp_raw(alpha, settings)
         if raw.tobytes() not in seen:
             seen.add(raw.tobytes())
@@ -388,7 +378,7 @@ def _start_points(opts: OptimizerSettings, settings: SplineSettings) -> tuple:
         raw.flags.writeable = False
         warp.forward.coefficients.flags.writeable = False
         warp.inverse.coefficients.flags.writeable = False
-    cached = _start_cache[key] = (starts, warps)
+    cached = _start_cache[settings] = (starts, warps)
     return cached
 
 
@@ -399,74 +389,70 @@ def _spare_cpus() -> int:
     return len(os.sched_getaffinity(0)) - 1
 
 
-def _run_starts(f, g, lambda0, ws, opts, starts) -> list:
+def _run_starts(f, g, lambda0, ws, starts) -> list:
     """The Nelder-Mead final point of each of `starts`."""
     objective = _proxy_objective(f, g, lambda0, ws)
-    return [_budgeted_nelder_mead(objective, raw, opts) for raw in starts]
+    return [_budgeted_nelder_mead(objective, raw) for raw in starts]
 
 
-def _helper_init() -> None:
-    """Runs first in each helper: interrupts are the caller's to handle, and
-    the helper exits once the caller has, however the caller ended."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    caller = multiprocessing.parent_process()
-    threading.Thread(target=lambda: (caller.join(), os._exit(0)), daemon=True).start()
+def _fork_helper(f, g, lambda0, ws, starts) -> tuple:
+    """Fork a process that runs `starts`, writes the bytes of their final
+    points to a pipe and exits; returns its pid and the pipe's read end."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # interrupts are the caller's
+            with open(write_end, "wb") as pipe:
+                pipe.write(np.array(_run_starts(f, g, lambda0, ws, starts)).tobytes())
+            code = 0
+        finally:
+            os._exit(code)  # never back into the caller's code
+    os.close(write_end)
+    return pid, open(read_end, "rb")
 
 
-_pool = None  # (owner pid, helper count, executor), made on first use
-
-
-def _helpers(count: int, replace: bool = False) -> ProcessPoolExecutor:
-    """A pool of at least `count` helper processes forked from this process,
-    kept for later searches; `replace` makes a new one in place of a broken
-    pool.  Threads share the pool; replacing it assumes no other thread is
-    mid-search."""
-    global _pool
-    pid = os.getpid()
-    if _pool is not None and _pool[0] == pid:
-        if _pool[1] >= count and not replace:
-            return _pool[2]
-        _pool[2].shutdown(wait=False, cancel_futures=True)
-    # a forked copy of the process leaves its parent's pool alone
-    executor = ProcessPoolExecutor(
-        count, mp_context=multiprocessing.get_context("fork"), initializer=_helper_init
-    )
-    _pool = (pid, count, executor)
-    return executor
-
-
-def _final_points(f, g, lambda0, ws, opts, starts) -> list:
+def _final_points(f, g, lambda0, ws, starts) -> list:
     """The Nelder-Mead final point of each start, in start order.
 
     With k helpers (one per spare CPU, at most one per start after the
     first) the starts are dealt round-robin: the caller runs positions
     0, k + 1, 2k + 2, ... and helper share i runs positions i, i + k + 1, ....
-    A start runs the same code on the same inputs wherever it runs, so the
-    final points do not depend on k.  A share whose helper dies runs in the
-    caller, and the next search forks a new pool.
+    Each helper is forked for this search and exits at its end.  A start runs
+    the same code on the same inputs wherever it runs, so the final points do
+    not depend on k.  A helper whose pipe ends short has died, and its share
+    runs in the caller; if the caller raises, the helpers still running are
+    killed and reaped.
     """
-    k = min(_spare_cpus(), len(starts) - 1)
-    if k < 1:
-        return _run_starts(f, g, lambda0, ws, opts, starts)
-    share = k + 1
-
-    def submit(executor):
-        return [
-            executor.submit(_run_starts, f, g, lambda0, ws, opts, starts[i::share])
-            for i in range(1, share)
-        ]
-
+    share = min(_spare_cpus(), len(starts) - 1) + 1
+    helpers = []  # (pid, pipe) of each helper not yet reaped, in share order
     try:
-        futures = submit(_helpers(k))
-    except BrokenProcessPool:  # a helper died after the last search
-        futures = submit(_helpers(k, replace=True))
-    finals = [None] * len(starts)
-    finals[::share] = _run_starts(f, g, lambda0, ws, opts, starts[::share])
-    for i, future in enumerate(futures, 1):
-        try:
-            finals[i::share] = future.result()
-        except BrokenProcessPool:  # the helper died during this search
-            finals[i::share] = _run_starts(f, g, lambda0, ws, opts, starts[i::share])
+        for i in range(1, share):
+            helpers.append(_fork_helper(f, g, lambda0, ws, starts[i::share]))
+        finals = [None] * len(starts)
+        finals[::share] = _run_starts(f, g, lambda0, ws, starts[::share])
+        for i in range(1, share):
+            pid, pipe = helpers[0]
+            data = pipe.read()
+            pipe.close()
+            os.waitpid(pid, 0)
+            del helpers[0]
+            mine = starts[i::share]
+            if len(data) == 8 * ws.n_raw * len(mine):
+                finals[i::share] = list(np.frombuffer(data).reshape(len(mine), ws.n_raw))
+            else:  # the helper died
+                finals[i::share] = _run_starts(f, g, lambda0, ws, mine)
+    finally:
+        for pid, pipe in helpers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return finals
 
 
@@ -474,7 +460,6 @@ def optimize_warping(
     f: Curve,
     g: Curve,
     lambda0: float,
-    opts: OptimizerSettings = DEFAULT_OPTIMIZER,
     settings: SplineSettings = DEFAULT_SPLINES,
 ) -> tuple:
     """Maximize the penalized similarity of f and g over the warp family.
@@ -490,11 +475,11 @@ def optimize_warping(
     ):
         raise ZeroVarianceError("similarity is undefined for constant curves")
     ws = _workspace(f.grid, settings)
-    starts, start_warps = _start_points(opts, settings)
+    starts, start_warps = _start_points(settings)
 
     seen = {raw.tobytes() for raw in starts}
     candidates = list(zip(starts, start_warps))
-    for final in _final_points(f, g, lambda0, ws, opts, starts):
+    for final in _final_points(f, g, lambda0, ws, starts):
         if final.tobytes() not in seen:
             seen.add(final.tobytes())
             candidates.append((final, None))

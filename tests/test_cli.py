@@ -249,6 +249,52 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "case", ["nan", "inf", "ragged row", "empty cell", "duplicate ids", "one curve"]
+    )
+    def test_malformed_curves_csv_invalid_input(self, tmp_path, capsys, case):
+        points = np.linspace(0.0, 1.0, 30)  # enough points for a smoothing fit
+        rows = [[str(i), *map(repr, np.sin(3 * points + i).tolist())] for i in range(3)]
+        if case in ("nan", "inf"):
+            rows[1][5] = case
+        elif case == "ragged row":
+            del rows[1][-1]
+        elif case == "empty cell":
+            rows[1][5] = ""
+        elif case == "duplicate ids":
+            rows[1][0] = rows[0][0]
+        else:
+            del rows[1:]
+        path = tmp_path / "bad.csv"
+        lines = [["id", *map(repr, points.tolist())], *rows]
+        path.write_text("".join(",".join(line) + "\n" for line in lines))
+        code = main(
+            [
+                "cluster", "--input", str(path), "--lambda0", "0.0",
+                "--grid", "60", "--output", str(tmp_path / "out.json"),
+            ]
+        )
+        assert code == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["cluster", "align", "indexes"])
+    def test_non_finite_lambda0_invalid_input(self, small_dataset, tmp_path, capsys, command, value):
+        curves, _ = small_dataset
+        partition = tmp_path / "partition.json"
+        partition.write_text(json.dumps([["0", "1"], ["2", "3"]]))
+        rest = {
+            "cluster": ["--output", str(tmp_path / "out.json")],
+            "align": ["--pair", "0,1", "--out", str(tmp_path / "align.json")],
+            "indexes": ["--partition", str(partition)],
+        }[command]
+        code = main([command, "--input", str(curves), "--lambda0", value, "--grid", "60", *rest])
+        assert code == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert errors == ["error: lambda0 must be finite and nonnegative"]
+        assert not (tmp_path / "out.json").exists() and not (tmp_path / "align.json").exists()
+
     def test_constant_curve_degenerate(self, tmp_path):
         path = tmp_path / "flat.csv"
         points = np.linspace(0, 1, 60)

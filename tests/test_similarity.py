@@ -16,7 +16,6 @@ from curveclust.similarity import (
 )
 from curveclust.splines import uniform_grid
 from curveclust.warping import (
-    DEFAULT_OPTIMIZER,
     DEFAULT_SPLINES,
     identity_warping,
     make_warping,
@@ -234,7 +233,7 @@ class TestSimilarityMatrix:
         ]
         cache = PairCache()
         first = similarity_matrix(curves, 0.0, cache=cache)
-        settings = (0.0, DEFAULT_OPTIMIZER, DEFAULT_SPLINES)
+        settings = (0.0, DEFAULT_SPLINES)
         fwd = cache.get(curves[0], curves[1], *settings)
         rev = cache.get(curves[1], curves[0], *settings)
         assert fwd.warp is first.warp(0, 1)

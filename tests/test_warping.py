@@ -1,9 +1,9 @@
 import contextlib
 import os
-import select
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,6 @@ from curveclust.splines import (
 )
 from curveclust.updating import update_all, weight_exponent
 from curveclust.warping import (
-    OptimizerSettings,
     identity_warping,
     invert_warping,
     make_warping,
@@ -147,11 +146,11 @@ class TestOptimizeWarping:
         again = rho_parts(f, g, warp, 0.25)
         assert abs(again.rho - parts.rho) <= 1e-10
 
-    def test_fewer_evaluations_with_small_budget_still_valid(self, grid200):
+    def test_fewer_evaluations_with_small_budget_still_valid(self, grid200, monkeypatch):
         f = refit_on_grid(0, grid200, sine_shape(grid200.points**1.1))
         g = refit_on_grid(1, grid200, sine_shape(grid200.points))
-        opts = OptimizerSettings(budget_per_start=50)
-        _, parts = optimize_warping(f, g, 0.0, opts=opts)
+        monkeypatch.setattr(warping, "_BUDGET_PER_START", 50)
+        _, parts = optimize_warping(f, g, 0.0)
         assert parts.rho >= rho_parts(f, g, identity_warping(), 0.0).rho - 1e-9
 
 
@@ -247,9 +246,6 @@ class TestProxyObjectiveIdentity:
             (random_smooth_curve(0, grid, rng), random_smooth_curve(1, grid, rng), lambda0)
             for grid, lambda0 in cases
         ]
-        # every start in this process, where the patched objective is seen;
-        # a helper keeps the objective it was forked with
-        monkeypatch.setattr(warping, "_spare_cpus", lambda: 0)
         lean = [optimize_warping(f, g, lambda0) for f, g, lambda0 in pairs]
         monkeypatch.setattr(warping, "_proxy_objective", _reference_proxy_objective)
         reference = [optimize_warping(f, g, lambda0) for f, g, lambda0 in pairs]
@@ -268,9 +264,43 @@ def spare_cpus(monkeypatch):
     return set_count
 
 
-def _helper_pid(count):
-    """The pid of a helper in the pool that a search with `count` helpers uses."""
-    return warping._helpers(count).submit(os.getpid).result(timeout=60)
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pid of every helper this process forks; each fork passes through."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def _search_that(caller_raises=False, helper_dies=False):
+    """The start search, except that it raises in this process (where a
+    helper then hangs until it is killed) or exits at once in a helper."""
+    caller, search = os.getpid(), warping._budgeted_nelder_mead
+
+    def patched(objective, x0):
+        if os.getpid() == caller:
+            if caller_raises:
+                raise RuntimeError("caller's start failed")
+        elif caller_raises:
+            time.sleep(600)
+        elif helper_dies:
+            os._exit(1)
+        return search(objective, x0)
+
+    return patched
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _entry_bytes(entry):
@@ -307,31 +337,30 @@ class TestHelperProcesses:
             for grid, lambda0 in cases
         ]
 
-    def test_same_bytes_with_zero_one_and_two_helpers(self, pairs, spare_cpus):
+    def test_same_bytes_with_zero_one_and_two_helpers(self, pairs, spare_cpus, forks):
         results = []
         for count in (0, 1, 2):
             spare_cpus(count)
+            before = len(forks)
             results.append([_entry_bytes(similarity(f, g, lambda0)) for f, g, lambda0 in pairs])
-            if count:
-                assert _helper_pid(count) != os.getpid()
+            assert len(forks) - before == count * len(pairs)  # `count` helpers per search
         assert results[0] == results[1] == results[2]
 
     def test_final_points_come_back_in_start_order(self, pairs, spare_cpus):
         f, g, lambda0 = pairs[0]
         ws = warping._workspace(f.grid, warping.DEFAULT_SPLINES)
-        opts = warping.DEFAULT_OPTIMIZER
-        starts, _ = warping._start_points(opts, warping.DEFAULT_SPLINES)
+        starts, _ = warping._start_points(warping.DEFAULT_SPLINES)
         objective = warping._proxy_objective(f, g, lambda0, ws)
-        serial = [warping._budgeted_nelder_mead(objective, raw, opts).tobytes() for raw in starts]
+        serial = [warping._budgeted_nelder_mead(objective, raw).tobytes() for raw in starts]
         assert len(set(serial)) == len(starts)
         for count in (1, 2, 4):
             spare_cpus(count)
-            finals = warping._final_points(f, g, lambda0, ws, opts, starts)
+            finals = warping._final_points(f, g, lambda0, ws, starts)
             assert [x.tobytes() for x in finals] == serial
 
     def test_start_warps_are_shared_and_read_only(self):
-        starts, warps = warping._start_points(warping.DEFAULT_OPTIMIZER, warping.DEFAULT_SPLINES)
-        again = warping._start_points(warping.DEFAULT_OPTIMIZER, warping.DEFAULT_SPLINES)
+        starts, warps = warping._start_points(warping.DEFAULT_SPLINES)
+        again = warping._start_points(warping.DEFAULT_SPLINES)
         assert again[1] is warps and len(starts) == len(warps) == 5
         for raw, warp in zip(starts, warps):
             built = make_warping(raw)
@@ -346,32 +375,14 @@ class TestHelperProcesses:
         (f0, g0, lam0), (f1, g1, lam1) = pairs[:2]
         spare_cpus(0)
         serial = _entry_bytes(similarity(f1, g1, lam1))
-        spare_cpus(1)
-        similarity(f0, g0, lam0)  # the helper is forked with the real search
-
-        def fails(objective, x0, opts):
-            raise RuntimeError("caller's start failed")
-
-        monkeypatch.setattr(warping, "_budgeted_nelder_mead", fails)
-        with pytest.raises(RuntimeError):
-            similarity(f0, g0, lam0)  # the helper's reply to this pair goes unread
-        monkeypatch.undo()
+        monkeypatch.setattr(warping, "_budgeted_nelder_mead", _search_that(caller_raises=True))
         spare_cpus(1)
         with _time_limit(60):
+            with pytest.raises(RuntimeError):
+                similarity(f0, g0, lam0)  # the helper is killed mid-share
+            monkeypatch.undo()
+            spare_cpus(1)
             assert _entry_bytes(similarity(f1, g1, lam1)) == serial
-
-    def test_killed_helper_is_replaced(self, pairs, spare_cpus):
-        f, g, lambda0 = pairs[0]
-        spare_cpus(0)
-        serial = _entry_bytes(similarity(f, g, lambda0))
-        spare_cpus(1)
-        similarity(f, g, lambda0)
-        killed = _helper_pid(1)
-        os.kill(killed, signal.SIGKILL)
-        with _time_limit(60):
-            assert _entry_bytes(similarity(f, g, lambda0)) == serial
-            assert _entry_bytes(similarity(f, g, lambda0)) == serial
-            assert _helper_pid(1) != killed
 
     def test_helper_dying_mid_search_leaves_its_starts_to_the_caller(
         self, pairs, spare_cpus, monkeypatch
@@ -379,50 +390,93 @@ class TestHelperProcesses:
         f, g, lambda0 = pairs[0]
         spare_cpus(0)
         serial = _entry_bytes(similarity(f, g, lambda0))
-        caller = os.getpid()
-        search = warping._budgeted_nelder_mead
-
-        def dies_in_helper(objective, x0, opts):
-            if os.getpid() != caller:
-                os._exit(1)
-            return search(objective, x0, opts)
-
-        # a new pool is forked with the dying search in place
-        monkeypatch.setattr(warping, "_budgeted_nelder_mead", dies_in_helper)
-        monkeypatch.setattr(warping, "_pool", None)
+        monkeypatch.setattr(warping, "_budgeted_nelder_mead", _search_that(helper_dies=True))
         spare_cpus(1)
         with _time_limit(60):
             assert _entry_bytes(similarity(f, g, lambda0)) == serial
 
+    def test_no_child_outlives_a_search(self, pairs, spare_cpus, monkeypatch):
+        f, g, lambda0 = pairs[0]
+        fails, dies = _search_that(caller_raises=True), _search_that(helper_dies=True)
+        fork = os.fork
+        forked = []
+
+        def second_fork_fails():
+            if forked:
+                raise OSError("fork failed")
+            forked.append(fork())
+            return forked[-1]
+
+        spare_cpus(2)
+        with _time_limit(60):
+            similarity(f, g, lambda0)
+            _assert_no_child()
+            monkeypatch.setattr(warping, "_budgeted_nelder_mead", fails)
+            with pytest.raises(RuntimeError):
+                similarity(f, g, lambda0)
+            _assert_no_child()
+            monkeypatch.setattr(warping, "_budgeted_nelder_mead", dies)
+            similarity(f, g, lambda0)
+            _assert_no_child()
+            monkeypatch.undo()
+            spare_cpus(2)
+            monkeypatch.setattr(os, "fork", second_fork_fails)
+            with pytest.raises(OSError):
+                similarity(f, g, lambda0)
+            assert len(forked) == 1
+            _assert_no_child()
+
     def test_helpers_exit_with_a_killed_caller(self):
         read_end, write_end = os.pipe()
+        # each helper writes one byte to the inherited pipe; the caller's own
+        # first start SIGKILLs the caller
         script = (
-            "import os, signal\n"
+            "import os, signal, sys\n"
+            "import numpy as np\n"
             "from curveclust import warping\n"
-            "warping._helpers(2).submit(os.getpid).result()\n"
-            "os.kill(os.getpid(), signal.SIGKILL)\n"
+            "from curveclust.curves import refit_on_grid\n"
+            "from curveclust.splines import uniform_grid\n"
+            "fd, caller = int(sys.argv[1]), os.getpid()\n"
+            "fork, search = os.fork, warping._budgeted_nelder_mead\n"
+            "def helper_fork():\n"
+            "    pid = fork()\n"
+            "    if pid == 0:\n"
+            "        os.write(fd, b'h')\n"
+            "    return pid\n"
+            "def killed(objective, x0):\n"
+            "    if os.getpid() == caller:\n"
+            "        os.kill(caller, signal.SIGKILL)\n"
+            "    return search(objective, x0)\n"
+            "os.fork, warping._budgeted_nelder_mead = helper_fork, killed\n"
+            "warping._spare_cpus = lambda: 2\n"
+            "grid = uniform_grid(100)\n"
+            "f = refit_on_grid(0, grid, np.sin(2 * np.pi * grid.points))\n"
+            "g = refit_on_grid(1, grid, np.sin(2 * np.pi * grid.points ** 1.2))\n"
+            "warping.optimize_warping(f, g, 0.0)\n"
         )
         src = str(Path(curveclust.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         with os.fdopen(read_end, "rb", buffering=0) as pipe:
             try:
                 caller = subprocess.run(
-                    [sys.executable, "-c", script], pass_fds=(write_end,), env=env, timeout=60
+                    [sys.executable, "-c", script, str(write_end)],
+                    pass_fds=(write_end,),
+                    env=env,
+                    timeout=60,
                 )
             finally:
                 os.close(write_end)
             assert caller.returncode == -signal.SIGKILL
             # the pipe reads EOF once no process holds its write end: the
             # caller and the helpers it forked have all exited
-            readable, _, _ = select.select([pipe], [], [], 60)
-            assert readable and pipe.read(1) == b""
+            with _time_limit(60):
+                assert pipe.read() == b"hh"
 
-    def test_forked_copy_makes_its_own_pool(self, pairs, spare_cpus):
+    def test_forked_copy_forks_its_own_helpers(self, pairs, spare_cpus):
         f, g, lambda0 = pairs[0]
         spare_cpus(0)
         serial = _entry_bytes(similarity(f, g, lambda0))
         spare_cpus(1)
-        similarity(f, g, lambda0)  # this process's pool now exists
         pid = os.fork()
         if pid == 0:
             code = 1
@@ -436,12 +490,11 @@ class TestHelperProcesses:
 
     def test_stages_without_warping_fork_no_helper(self, grid100, spare_cpus, monkeypatch):
         spare_cpus(1)
-        monkeypatch.setattr(warping, "_pool", None)
 
-        def no_fork(*args, **kwargs):
-            raise AssertionError("a helper pool was forked")
+        def no_fork():
+            raise AssertionError("a helper was forked")
 
-        monkeypatch.setattr(warping, "ProcessPoolExecutor", no_fork)
+        monkeypatch.setattr(os, "fork", no_fork)
         rng = np.random.default_rng(23)
         curves = [random_smooth_curve(i, grid100, rng) for i in range(8)]
         identity = identity_warping()
@@ -466,4 +519,4 @@ class TestHelperProcesses:
         for group in partial.groups:
             combine_group(group, bank, matrix)
         update_all(curves, matrix, 0.5, weight_exponent(sims))
-        assert partial.groups and warping._pool is None
+        assert partial.groups
