@@ -169,9 +169,15 @@ def _cmd_indexes(args) -> int:
     groups = []
     for group in read_partition_json(args.partition):
         try:
-            groups.append({index_of[name] for name in group})
+            groups.append([index_of[name] for name in group])
         except KeyError as exc:
             raise InvalidInputError(f"unknown curve id in partition: {exc}") from exc
+    placed = sorted(i for group in groups for i in group)
+    if len(groups) < 2 or not all(groups) or placed != list(range(len(names))):
+        raise InvalidInputError(
+            "partition must have at least 2 nonempty groups that hold each curve once"
+        )
+    groups = [set(group) for group in groups]
     matrix = similarity_matrix(curves, args.lambda0)
     dist = distances_from_similarity(matrix)
     print(f"silhouette {silhouette(groups, dist):.6f}")

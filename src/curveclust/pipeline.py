@@ -23,6 +23,7 @@ from .indices import DistanceMatrix, distances_from_similarity, index_function
 from .similarity import PairCache, SimilarityMatrix, similarity_matrix
 from .splines import DEFAULT_SPLINES, SplineSettings, check_time_points, uniform_grid
 from .updating import update_all, weight_exponent
+from .warping import check_lambda0
 
 # Four combination thresholds placed just below the chosen similarity quantile.
 THRESHOLD_OFFSETS = tuple(-0.01 + 0.01 * i / 3 for i in range(4))
@@ -45,8 +46,7 @@ class RunConfig:
     splines: SplineSettings = field(default_factory=lambda: DEFAULT_SPLINES)
 
     def __post_init__(self):
-        if not (math.isfinite(self.lambda0) and self.lambda0 >= 0):
-            raise InvalidInputError("lambda0 must be finite and nonnegative")
+        check_lambda0(self.lambda0)
         if not 0.0 < self.quantile_a < 1.0:
             raise InvalidInputError("quantile_a must lie in (0, 1)")
         if self.max_iterations < 1:
@@ -129,13 +129,7 @@ class _Shared:
         self.tau = weight_exponent(below_one) if below_one else 1.0
 
     def build_matrix(self, curves) -> SimilarityMatrix:
-        config = self.config
-        return similarity_matrix(
-            curves,
-            config.lambda0,
-            settings=config.splines,
-            cache=self.cache,
-        )
+        return similarity_matrix(curves, self.config.lambda0, cache=self.cache)
 
     def score(self, groups, dist: DistanceMatrix) -> float:
         """Index of a partition on `dist`; -inf when unrankable (fewer than

@@ -8,14 +8,13 @@ symmetric by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .curves import Curve
 from .errors import InvalidInputError
-from .warping import DEFAULT_SPLINES, RhoParts, Warping, optimize_warping, rho_parts
+from .warping import SimilarityEntry, Warping, optimize_warping, rho_parts
 
 __all__ = [
     "SimilarityEntry",
@@ -27,71 +26,33 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
-class SimilarityEntry:
-    """Cached similarity of an unordered pair, with the maximizing warp
-    (aligning the first curve to the second) and its parts."""
-
-    rho: float
-    warp: Warping
-    penalty_fwd: float
-    penalty_inv: float
-    r_fwd: float
-    r_inv: float
-
-    def swapped(self) -> "SimilarityEntry":
-        return SimilarityEntry(
-            rho=self.rho,
-            warp=self.warp.swapped(),
-            penalty_fwd=self.penalty_inv,
-            penalty_inv=self.penalty_fwd,
-            r_fwd=self.r_inv,
-            r_inv=self.r_fwd,
-        )
+# the penalized similarity at a fixed warp, with no optimization
+rho_given_psi = rho_parts
 
 
-def _entry_from_parts(parts: RhoParts, warp: Warping) -> SimilarityEntry:
-    return SimilarityEntry(
-        rho=parts.rho,
-        warp=warp,
-        penalty_fwd=parts.penalty_fwd,
-        penalty_inv=parts.penalty_inv,
-        r_fwd=parts.r_fwd,
-        r_inv=parts.r_inv,
-    )
-
-
-def rho_given_psi(f: Curve, g: Curve, psi: Warping, lambda0: float) -> SimilarityEntry:
-    """Penalized similarity of f and g at a fixed warp (no optimization)."""
-    return _entry_from_parts(rho_parts(f, g, psi, lambda0), psi)
-
-
-def similarity(f: Curve, g: Curve, lambda0: float, settings=DEFAULT_SPLINES) -> SimilarityEntry:
+def similarity(f: Curve, g: Curve, lambda0: float) -> SimilarityEntry:
     """Maximized penalized similarity, delegating to the warp optimizer."""
-    warp, parts = optimize_warping(f, g, lambda0, settings=settings)
-    return _entry_from_parts(parts, warp)
+    return optimize_warping(f, g, lambda0)
 
 
 class PairCache:
     """Content-addressed store of pair entries, shared across matrix rebuilds.
 
-    Keys include curve content, the penalty parameter and spline settings, so
-    entries survive combination/updating passes for curves that did not change.
+    Keys are curve contents and the penalty parameter, so entries survive
+    combination/updating passes for curves that did not change.
     Each entry is stored under both orders of the pair.
     """
 
     def __init__(self):
         self._store: dict = {}
 
-    def get(self, f: Curve, g: Curve, lambda0: float, settings) -> Optional[SimilarityEntry]:
-        key = (f.content_key, g.content_key, float(lambda0), settings)
-        return self._store.get(key)
+    def get(self, f: Curve, g: Curve, lambda0: float) -> Optional[SimilarityEntry]:
+        return self._store.get((f.content_key, g.content_key, float(lambda0)))
 
-    def put(self, f: Curve, g: Curve, lambda0: float, settings, entry: SimilarityEntry):
-        rest = (float(lambda0), settings)
+    def put(self, f: Curve, g: Curve, lambda0: float, entry: SimilarityEntry):
         # written second, so a pair of equal contents reads the entry as given
-        self._store[(g.content_key, f.content_key) + rest] = entry.swapped()
-        self._store[(f.content_key, g.content_key) + rest] = entry
+        self._store[(g.content_key, f.content_key, float(lambda0))] = entry.swapped()
+        self._store[(f.content_key, g.content_key, float(lambda0))] = entry
 
 
 class SimilarityMatrix:
@@ -132,10 +93,7 @@ class SimilarityMatrix:
 
 
 def similarity_matrix(
-    curves,
-    lambda0: float,
-    settings=DEFAULT_SPLINES,
-    cache: Optional[PairCache] = None,
+    curves, lambda0: float, cache: Optional[PairCache] = None
 ) -> SimilarityMatrix:
     """Compute (or fetch from cache) entries for every unordered pair."""
     curves = sorted(curves, key=lambda c: c.id)
@@ -144,10 +102,10 @@ def similarity_matrix(
     entries = {}
     for i, f in enumerate(curves):
         for g in curves[i + 1 :]:
-            entry = cache.get(f, g, lambda0, settings) if cache is not None else None
+            entry = cache.get(f, g, lambda0) if cache is not None else None
             if entry is None:
-                entry = similarity(f, g, lambda0, settings=settings)
+                entry = similarity(f, g, lambda0)
                 if cache is not None:
-                    cache.put(f, g, lambda0, settings, entry)
+                    cache.put(f, g, lambda0, entry)
             entries[(f.id, g.id)] = entry
     return SimilarityMatrix(entries, [c.id for c in curves])

@@ -29,26 +29,14 @@ _EDGE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SplineSettings:
-    """Knot layout shared by a whole run.
-
-    Shape curves are cubic with 16 equally spaced interior knots; warping
-    functions are quadratic with 3, and their inverses quadratic with 23.
-    """
+    """Shape-spline layout shared by a whole run: cubic with 16 equally spaced
+    interior knots by default.  The warp family is fixed in `warping`."""
 
     shape_degree: int = 3
     shape_knots: int = 16
-    warp_degree: int = 2
-    warp_knots: int = 3
-    inverse_knots: int = 23
 
     def shape_interior(self) -> np.ndarray:
         return uniform_interior_knots(self.shape_knots)
-
-    def warp_interior(self) -> np.ndarray:
-        return uniform_interior_knots(self.warp_knots)
-
-    def inverse_interior(self) -> np.ndarray:
-        return uniform_interior_knots(self.inverse_knots)
 
 
 DEFAULT_SPLINES = SplineSettings()

@@ -1,20 +1,21 @@
 """Monotone warping functions on [0, 1] and the penalized-similarity optimizer.
 
-A warp is a quadratic spline with positive coefficient increments, so it is
-strictly increasing and pins 0 -> 0, 1 -> 1 exactly by construction.  Raw
-parameters are unconstrained reals: increments are exp(raw) scaled by the
-Greville spacing of the knot layout, which makes all-equal raw parameters the
-exact identity.  The inverse is approximated by least squares in a finer
-quadratic spline space.
+The warp family is fixed: a warp is a quadratic spline on 3 equally spaced
+interior knots with positive coefficient increments, so it is strictly
+increasing and pins 0 -> 0, 1 -> 1 exactly by construction.  Raw parameters
+are unconstrained reals: increments are exp(raw) scaled by the Greville
+spacing of the knot layout, which makes all-equal raw parameters the exact
+identity.  The inverse is approximated by least squares in a finer quadratic
+spline space, on 23 equally spaced interior knots.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import signal
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -29,14 +30,13 @@ from .errors import (
 )
 from .products import ZERO_NORM_TOL, centered_norm, corr
 from .splines import (
-    DEFAULT_SPLINES,
     Grid,
     SplineRep,
-    SplineSettings,
     basis_matrix,
     derivative,
     evaluate,
     knot_vector,
+    uniform_interior_knots,
 )
 
 _DENSE_N = 501
@@ -66,18 +66,51 @@ class Warping:
         return Warping(forward=self.inverse, inverse=self.forward)
 
 
-class RhoParts(NamedTuple):
+@dataclass(eq=False)
+class SimilarityEntry:
+    """Penalized similarity of an ordered pair at one warp (aligning the first
+    curve to the second), with its parts."""
+
     rho: float
-    r_fwd: float
-    r_inv: float
+    warp: Warping
     penalty_fwd: float
     penalty_inv: float
+    r_fwd: float
+    r_inv: float
+
+    def swapped(self) -> "SimilarityEntry":
+        return SimilarityEntry(
+            rho=self.rho,
+            warp=self.warp.swapped(),
+            penalty_fwd=self.penalty_inv,
+            penalty_inv=self.penalty_fwd,
+            r_fwd=self.r_inv,
+            r_inv=self.r_fwd,
+        )
+
+
+def check_lambda0(lambda0: float) -> None:
+    """Reject a penalty weight that is negative, NaN or infinite."""
+    if not (math.isfinite(lambda0) and lambda0 >= 0):
+        raise InvalidParameterError("lambda0 must be finite and nonnegative")
 
 
 def greville_abscissae(degree: int, interior_knots: np.ndarray) -> np.ndarray:
     t = knot_vector(degree, interior_knots)
     nb = len(interior_knots) + degree + 1
     return np.array([t[i + 1 : i + degree + 1].mean() for i in range(nb)])
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+# The warp family: every warp and every inverse shares these arrays.
+WARP_DEGREE = 2
+WARP_INTERIOR = _read_only(uniform_interior_knots(3))
+INVERSE_INTERIOR = _read_only(uniform_interior_knots(23))
+_GREVILLE_STEPS = _read_only(np.diff(greville_abscissae(WARP_DEGREE, WARP_INTERIOR)))
 
 
 def _difference_operator(degree: int, interior_knots: np.ndarray) -> np.ndarray:
@@ -95,32 +128,24 @@ def _difference_operator(degree: int, interior_knots: np.ndarray) -> np.ndarray:
 class _WarpWorkspace:
     """Cached matrices for fast warp/derivative evaluation on a fixed grid."""
 
-    def __init__(self, grid: Grid, settings: SplineSettings):
-        interior = settings.warp_interior()
-        degree = settings.warp_degree
-        self.interior = interior
-        self.degree = degree
-        self.basis = basis_matrix(grid.points, degree, interior)
-        diff_op = _difference_operator(degree, interior)
-        self.deriv = basis_matrix(grid.points, degree - 1, interior) @ diff_op
-        self.greville_steps = np.diff(greville_abscissae(degree, interior))
-        self.n_raw = len(self.greville_steps)
+    def __init__(self, grid: Grid):
+        self.basis = basis_matrix(grid.points, WARP_DEGREE, WARP_INTERIOR)
+        diff_op = _difference_operator(WARP_DEGREE, WARP_INTERIOR)
+        self.deriv = basis_matrix(grid.points, WARP_DEGREE - 1, WARP_INTERIOR) @ diff_op
 
 
 _workspaces: dict = {}
 
 
-def _workspace(grid: Grid, settings: SplineSettings) -> _WarpWorkspace:
-    key = (grid.key, settings)
-    ws = _workspaces.get(key)
+def _workspace(grid: Grid) -> _WarpWorkspace:
+    ws = _workspaces.get(grid.key)
     if ws is None:
-        ws = _WarpWorkspace(grid, settings)
-        _workspaces[key] = ws
+        ws = _workspaces[grid.key] = _WarpWorkspace(grid)
     return ws
 
 
-def n_raw_params(settings: SplineSettings = DEFAULT_SPLINES) -> int:
-    return len(settings.warp_interior()) + settings.warp_degree
+def n_raw_params() -> int:
+    return len(_GREVILLE_STEPS)
 
 
 def _coefficients_from_raw(
@@ -141,7 +166,7 @@ def _coefficients_from_raw(
     return coef
 
 
-def make_warping(raw_params, settings: SplineSettings = DEFAULT_SPLINES) -> Warping:
+def make_warping(raw_params) -> Warping:
     """Build a warp from unconstrained parameters.
 
     Coefficient increments are exp(raw) times the Greville spacing, rescaled so
@@ -151,29 +176,28 @@ def make_warping(raw_params, settings: SplineSettings = DEFAULT_SPLINES) -> Warp
     raw = np.asarray(raw_params, dtype=float)
     if not np.all(np.isfinite(raw)):
         raise InvalidParameterError("warp parameters must be finite")
-    steps = np.diff(greville_abscissae(settings.warp_degree, settings.warp_interior()))
-    if raw.shape != steps.shape:
+    if raw.shape != _GREVILLE_STEPS.shape:
         raise InvalidParameterError(
-            f"expected {len(steps)} warp parameters, got {raw.shape}"
+            f"expected {len(_GREVILLE_STEPS)} warp parameters, got {raw.shape}"
         )
     forward = SplineRep(
-        degree=settings.warp_degree,
-        interior_knots=settings.warp_interior(),
-        coefficients=_coefficients_from_raw(raw, steps),
+        degree=WARP_DEGREE,
+        interior_knots=WARP_INTERIOR,
+        coefficients=_coefficients_from_raw(raw, _GREVILLE_STEPS),
     )
-    return Warping(forward=forward, inverse=invert_warping(forward, settings))
+    return Warping(forward=forward, inverse=invert_warping(forward))
 
 
-def identity_warping(settings: SplineSettings = DEFAULT_SPLINES) -> Warping:
+def identity_warping() -> Warping:
     fwd = SplineRep(
-        degree=settings.warp_degree,
-        interior_knots=settings.warp_interior(),
-        coefficients=greville_abscissae(settings.warp_degree, settings.warp_interior()),
+        degree=WARP_DEGREE,
+        interior_knots=WARP_INTERIOR,
+        coefficients=greville_abscissae(WARP_DEGREE, WARP_INTERIOR),
     )
     inv = SplineRep(
-        degree=settings.warp_degree,
-        interior_knots=settings.inverse_interior(),
-        coefficients=greville_abscissae(settings.warp_degree, settings.inverse_interior()),
+        degree=WARP_DEGREE,
+        interior_knots=INVERSE_INTERIOR,
+        coefficients=greville_abscissae(WARP_DEGREE, INVERSE_INTERIOR),
     )
     return Warping(forward=fwd, inverse=inv)
 
@@ -186,7 +210,7 @@ def _pinned_fit(x, y, degree, interior, left, right) -> np.ndarray:
     return np.concatenate([[left], mid, [right]])
 
 
-def invert_warping(psi: SplineRep, settings: SplineSettings = DEFAULT_SPLINES) -> SplineRep:
+def invert_warping(psi: SplineRep) -> SplineRep:
     """Quadratic-spline approximation of the inverse of a monotone warp."""
     values = evaluate(psi, _DENSE)
     if np.any(np.diff(values) <= 0.0):
@@ -195,24 +219,22 @@ def invert_warping(psi: SplineRep, settings: SplineSettings = DEFAULT_SPLINES) -
         raise MonotonicityError("warp does not satisfy psi(0)=0, psi(1)=1")
     values = values.copy()
     values[0], values[-1] = 0.0, 1.0
-    coef = _pinned_fit(values, _DENSE, settings.warp_degree, settings.inverse_interior(), 0.0, 1.0)
+    coef = _pinned_fit(values, _DENSE, WARP_DEGREE, INVERSE_INTERIOR, 0.0, 1.0)
     # spline values live in the convex hull of the coefficients, so clipping
     # keeps the approximate inverse inside [0, 1]
     return SplineRep(
-        degree=settings.warp_degree,
-        interior_knots=settings.inverse_interior(),
+        degree=WARP_DEGREE,
+        interior_knots=INVERSE_INTERIOR,
         coefficients=np.clip(coef, 0.0, 1.0),
     )
 
 
-def power_warp_raw(alpha: float, settings: SplineSettings = DEFAULT_SPLINES) -> np.ndarray:
+def power_warp_raw(alpha: float) -> np.ndarray:
     """Raw parameters whose warp is the least-squares projection of t**alpha."""
-    steps = np.diff(greville_abscissae(settings.warp_degree, settings.warp_interior()))
+    steps = _GREVILLE_STEPS
     if alpha == 1.0:
         return np.zeros_like(steps)
-    coef = _pinned_fit(
-        _DENSE, _DENSE**alpha, settings.warp_degree, settings.warp_interior(), 0.0, 1.0
-    )
+    coef = _pinned_fit(_DENSE, _DENSE**alpha, WARP_DEGREE, WARP_INTERIOR, 0.0, 1.0)
     increments = np.maximum(np.diff(coef), 1e-4 * steps)
     raw = np.log(increments / steps)
     raw -= raw.mean()
@@ -224,13 +246,12 @@ def _penalty_of_spline(spline: SplineRep, grid: Grid) -> float:
     return float(grid.weights @ (dvals - 1.0) ** 2)
 
 
-def roughness_penalty(psi: Warping, grid: Grid, direction: str = "forward") -> float:
-    """Integrated squared deviation of the warp derivative from 1 (trapezoid)."""
-    if direction == "forward":
-        return _penalty_of_spline(psi.forward, grid)
-    if direction == "inverse":
-        return _penalty_of_spline(psi.inverse, grid)
-    raise InvalidInputError(f"unknown direction: {direction!r}")
+def roughness_penalty(psi: Warping, grid: Grid) -> float:
+    """Integrated squared deviation of the warp derivative from 1 (trapezoid).
+
+    `roughness_penalty(psi.swapped(), grid)` is the penalty of the inverse.
+    """
+    return _penalty_of_spline(psi.forward, grid)
 
 
 def _checked_warp_values(spline: SplineRep, points: np.ndarray) -> np.ndarray:
@@ -240,12 +261,13 @@ def _checked_warp_values(spline: SplineRep, points: np.ndarray) -> np.ndarray:
     return np.clip(vals, 0.0, 1.0)
 
 
-def rho_parts(f: Curve, g: Curve, warp: Warping, lambda0: float) -> RhoParts:
+def rho_parts(f: Curve, g: Curve, warp: Warping, lambda0: float) -> SimilarityEntry:
     """Penalized similarity of f and g at a fixed warp, with all parts.
 
     Forward part correlates f with g evaluated at warped grid points; the
     reverse part correlates g with f evaluated through the approximate inverse.
     """
+    check_lambda0(lambda0)
     if f.grid.key != g.grid.key:
         raise InvalidInputError("curves must share the same grid")
     grid = f.grid
@@ -256,7 +278,7 @@ def rho_parts(f: Curve, g: Curve, warp: Warping, lambda0: float) -> RhoParts:
     r_inv = corr(g.samples, f_unwarped, grid.weights)
     p_inv = _penalty_of_spline(warp.inverse, grid)
     rho = 0.5 * ((r_fwd - lambda0 * p_fwd) + (r_inv - lambda0 * p_inv))
-    return RhoParts(rho, r_fwd, r_inv, p_fwd, p_inv)
+    return SimilarityEntry(rho, warp, p_fwd, p_inv, r_fwd, r_inv)
 
 
 def _proxy_objective(f: Curve, g: Curve, lambda0: float, ws: _WarpWorkspace):
@@ -277,7 +299,7 @@ def _proxy_objective(f: Curve, g: Curve, lambda0: float, ws: _WarpWorkspace):
     f_centered = fs - w @ fs
     f_norm = np.sqrt(w @ (f_centered * f_centered))
     g_bspline = g.spline._bspline
-    basis, deriv, steps = ws.basis, ws.deriv, ws.greville_steps
+    basis, deriv, steps = ws.basis, ws.deriv, _GREVILLE_STEPS
     min_denom = ZERO_NORM_TOL**2
     # ndarray.min without its Python wrapper; np.dot takes the same BLAS path
     # as 1-D @
@@ -350,36 +372,29 @@ def _budgeted_nelder_mead(objective, x0: np.ndarray) -> np.ndarray:
     return x
 
 
-_start_cache: dict = {}
-
-
-def _start_points(settings: SplineSettings) -> tuple:
+@functools.cache
+def _start_points() -> tuple:
     """The distinct starts of the multi-start search (identity first) and the
     warp of each.
 
-    Built once per spline settings and shared by every later search, so the
-    arrays are read-only.
+    Built once and shared by every later search, so the arrays are read-only.
     """
-    cached = _start_cache.get(settings)
-    if cached is not None:
-        return cached
     starts = []
     seen = set()
     for alpha in _POWER_STARTS:
-        raw = power_warp_raw(alpha, settings)
+        raw = power_warp_raw(alpha)
         if raw.tobytes() not in seen:
             seen.add(raw.tobytes())
             starts.append(raw)
-    identity = np.zeros(n_raw_params(settings))
+    identity = np.zeros(n_raw_params())
     if identity.tobytes() not in seen:
         starts.insert(0, identity)
-    warps = [make_warping(raw, settings) for raw in starts]
+    warps = [make_warping(raw) for raw in starts]
     for raw, warp in zip(starts, warps):
         raw.flags.writeable = False
         warp.forward.coefficients.flags.writeable = False
         warp.inverse.coefficients.flags.writeable = False
-    cached = _start_cache[settings] = (starts, warps)
-    return cached
+    return tuple(starts), tuple(warps)
 
 
 def _spare_cpus() -> int:
@@ -444,8 +459,9 @@ def _final_points(f, g, lambda0, ws, starts) -> list:
             os.waitpid(pid, 0)
             del helpers[0]
             mine = starts[i::share]
-            if len(data) == 8 * ws.n_raw * len(mine):
-                finals[i::share] = list(np.frombuffer(data).reshape(len(mine), ws.n_raw))
+            n_raw = n_raw_params()
+            if len(data) == 8 * n_raw * len(mine):
+                finals[i::share] = list(np.frombuffer(data).reshape(len(mine), n_raw))
             else:  # the helper died
                 finals[i::share] = _run_starts(f, g, lambda0, ws, mine)
     finally:
@@ -456,12 +472,7 @@ def _final_points(f, g, lambda0, ws, starts) -> list:
     return finals
 
 
-def optimize_warping(
-    f: Curve,
-    g: Curve,
-    lambda0: float,
-    settings: SplineSettings = DEFAULT_SPLINES,
-) -> tuple:
+def optimize_warping(f: Curve, g: Curve, lambda0: float) -> SimilarityEntry:
     """Maximize the penalized similarity of f and g over the warp family.
 
     Nelder-Mead multi-start: identity plus projections of fixed power warps,
@@ -470,12 +481,13 @@ def optimize_warping(
     the best exact value wins, so the result never falls below the identity
     alignment and matches rho_parts at the returned warp to machine precision.
     """
+    check_lambda0(lambda0)
     if centered_norm(f.samples, f.grid.weights) <= ZERO_NORM_TOL or (
         centered_norm(g.samples, g.grid.weights) <= ZERO_NORM_TOL
     ):
         raise ZeroVarianceError("similarity is undefined for constant curves")
-    ws = _workspace(f.grid, settings)
-    starts, start_warps = _start_points(settings)
+    ws = _workspace(f.grid)
+    starts, start_warps = _start_points()
 
     seen = {raw.tobytes() for raw in starts}
     candidates = list(zip(starts, start_warps))
@@ -484,14 +496,14 @@ def optimize_warping(
             seen.add(final.tobytes())
             candidates.append((final, None))
 
-    best_warp, best_parts = None, None
+    best = None
     for raw, warp in candidates:
         try:
             if warp is None:
-                warp = make_warping(raw, settings)
-            parts = rho_parts(f, g, warp, lambda0)
+                warp = make_warping(raw)
+            entry = rho_parts(f, g, warp, lambda0)
         except (MonotonicityError, WarpRangeError, ZeroVarianceError):
             continue  # search drifted into a numerically flat warp
-        if best_parts is None or parts.rho > best_parts.rho:
-            best_warp, best_parts = warp, parts
-    return best_warp, best_parts
+        if best is None or entry.rho > best.rho:
+            best = entry
+    return best

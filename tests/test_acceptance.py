@@ -169,14 +169,14 @@ class TestCriterion6WarpRecovery:
     def test_power_warp_recovery(self, grid500):
         f = refit_on_grid(0, grid500, sine_shape(grid500.points**1.2))
         g = refit_on_grid(1, grid500, sine_shape(grid500.points))
-        warp, parts = optimize_warping(f, g, 0.0)
+        entry = optimize_warping(f, g, 0.0)
         check = np.linspace(0, 1, 257)
-        sup = np.abs(warp.forward(check) - check**1.2).max()
-        ok = sup <= 0.02 and parts.rho >= 0.99
-        print(f"criterion 6 (warp recovery): sup dev {sup:.4f}, rho {parts.rho:.4f} -> "
+        sup = np.abs(entry.warp.forward(check) - check**1.2).max()
+        ok = sup <= 0.02 and entry.rho >= 0.99
+        print(f"criterion 6 (warp recovery): sup dev {sup:.4f}, rho {entry.rho:.4f} -> "
               f"{'pass' if ok else 'FAIL'}")
         assert sup <= 0.02
-        assert parts.rho >= 0.99
+        assert entry.rho >= 0.99
 
 
 class TestCriterion7IndexRobustness:

@@ -295,6 +295,30 @@ class TestExitCodes:
         assert errors == ["error: lambda0 must be finite and nonnegative"]
         assert not (tmp_path / "out.json").exists() and not (tmp_path / "align.json").exists()
 
+    @pytest.mark.parametrize(
+        "partition",
+        [
+            [["0", "1", "2", "3", "4", "5"]],  # a single group
+            [["0", "1", "2"], [], ["3", "4", "5"]],  # an empty group
+            [["0", "1", "2"], ["2", "3", "4", "5"]],  # an id in two groups
+            [["0", "1"], ["2", "3", "4"]],  # a curve left out
+        ],
+    )
+    def test_malformed_partition_invalid_input(self, s31_dataset, tmp_path, capsys, partition):
+        path = tmp_path / "partition.json"
+        path.write_text(json.dumps(partition))
+        code = main(
+            [
+                "indexes", "--input", str(s31_dataset), "--partition", str(path),
+                "--lambda0", "0.5", "--grid", "60",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert captured.out == ""
+
     def test_constant_curve_degenerate(self, tmp_path):
         path = tmp_path / "flat.csv"
         points = np.linspace(0, 1, 60)

@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from curveclust.curves import refit_on_grid
-from curveclust.errors import InvalidInputError, ZeroVarianceError
+from curveclust import warping
+from curveclust.errors import InvalidInputError, InvalidParameterError, ZeroVarianceError
 from curveclust.products import center_inner, corr
 from curveclust.similarity import (
     PairCache,
@@ -14,12 +15,12 @@ from curveclust.similarity import (
     similarity,
     similarity_matrix,
 )
-from curveclust.splines import uniform_grid
+from curveclust.splines import make_grid, uniform_grid
 from curveclust.warping import (
-    DEFAULT_SPLINES,
     identity_warping,
     make_warping,
     n_raw_params,
+    optimize_warping,
     power_warp_raw,
 )
 
@@ -233,12 +234,69 @@ class TestSimilarityMatrix:
         ]
         cache = PairCache()
         first = similarity_matrix(curves, 0.0, cache=cache)
-        settings = (0.0, DEFAULT_SPLINES)
-        fwd = cache.get(curves[0], curves[1], *settings)
-        rev = cache.get(curves[1], curves[0], *settings)
+        fwd = cache.get(curves[0], curves[1], 0.0)
+        rev = cache.get(curves[1], curves[0], 0.0)
         assert fwd.warp is first.warp(0, 1)
         assert rev.warp.forward is fwd.warp.inverse
         assert rev.r_fwd == fwd.r_inv and rev.penalty_fwd == fwd.penalty_inv
         second = similarity_matrix(curves, 0.0, cache=cache)
         assert second.rho(0, 1) == first.rho(0, 1)
         assert second.warp(0, 1) is fwd.warp  # read from the cache, not recomputed
+
+
+def _entry_bytes(entry):
+    return (
+        entry.rho,
+        entry.warp.forward.coefficients.tobytes(),
+        entry.warp.inverse.coefficients.tobytes(),
+    )
+
+
+class TestBadLambda0:
+    @pytest.mark.parametrize("lambda0", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize(
+        "entry_point", ["optimize_warping", "similarity", "similarity_matrix", "rho_given_psi"]
+    )
+    def test_rejected(self, entry_point, lambda0):
+        grid = uniform_grid(100)
+        f = refit_on_grid(0, grid, sine_shape(grid.points))
+        g = refit_on_grid(1, grid, sine_shape(grid.points**1.2))
+        call = {
+            "optimize_warping": lambda: optimize_warping(f, g, lambda0),
+            "similarity": lambda: similarity(f, g, lambda0),
+            "similarity_matrix": lambda: similarity_matrix([f, g], lambda0),
+            "rho_given_psi": lambda: rho_given_psi(f, g, identity_warping(), lambda0),
+        }[entry_point]
+        with pytest.raises(InvalidParameterError, match="^lambda0 must be finite and nonnegative$"):
+            call()
+
+
+class TestCachesKeyedByInput:
+    def test_workspace_of_another_grid_of_equal_length_is_not_used(self, monkeypatch):
+        uniform = uniform_grid(100)
+        stretched = make_grid(np.linspace(0.0, 1.0, 100) ** 1.5)
+        f, g = (
+            refit_on_grid(i, stretched, sine_shape(stretched.points**p))
+            for i, p in ((0, 1.0), (1, 1.2))
+        )
+        monkeypatch.setattr(warping, "_workspaces", {})
+        alone = _entry_bytes(similarity(f, g, 0.5))
+        monkeypatch.setattr(warping, "_workspaces", {})
+        u, v = (refit_on_grid(i, uniform, sine_shape(uniform.points)) for i in (0, 1))
+        similarity(u, v, 0.5)
+        assert _entry_bytes(similarity(f, g, 0.5)) == alone
+
+    def test_pair_cache_keeps_penalties_apart(self):
+        grid = uniform_grid(100)
+        curves = [
+            refit_on_grid(0, grid, sine_shape(grid.points)),
+            refit_on_grid(1, grid, sine_shape(grid.points**1.3)),
+        ]
+        cache = PairCache()
+        similarity_matrix(curves, 0.0, cache=cache)
+        similarity_matrix(curves, 0.5, cache=cache)
+        free, penalized = (cache.get(*curves, lambda0) for lambda0 in (0.0, 0.5))
+        assert free is not penalized
+        assert _entry_bytes(free) == _entry_bytes(similarity(*curves, 0.0))
+        assert _entry_bytes(penalized) == _entry_bytes(similarity(*curves, 0.5))
+        assert free.rho > penalized.rho

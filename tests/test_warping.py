@@ -114,20 +114,19 @@ class TestOptimizeWarping:
     def test_self_match(self, grid200):
         f = refit_on_grid(0, grid200, sine_shape(grid200.points))
         for lambda0 in (0.0, 0.5):
-            warp, parts = optimize_warping(f, f, lambda0)
-            assert parts.rho == pytest.approx(1.0, abs=1e-4)
+            assert optimize_warping(f, f, lambda0).rho == pytest.approx(1.0, abs=1e-4)
 
     def test_warp_recovery(self, grid500):
         f = refit_on_grid(0, grid500, sine_shape(grid500.points**1.2))
         g = refit_on_grid(1, grid500, sine_shape(grid500.points))
-        warp, parts = optimize_warping(f, g, 0.0)
-        assert parts.rho >= 0.99
-        assert np.abs(warp.forward(CHECK) - CHECK**1.2).max() <= 0.02
+        entry = optimize_warping(f, g, 0.0)
+        assert entry.rho >= 0.99
+        assert np.abs(entry.warp.forward(CHECK) - CHECK**1.2).max() <= 0.02
 
     def test_large_penalty_forces_identity(self, grid200):
         f = refit_on_grid(0, grid200, sine_shape(grid200.points**1.3))
         g = refit_on_grid(1, grid200, sine_shape(grid200.points))
-        warp, parts = optimize_warping(f, g, 1e3)
+        warp = optimize_warping(f, g, 1e3).warp
         assert np.abs(warp.forward(CHECK) - CHECK).max() <= 0.01
 
     def test_never_below_identity_alignment(self, grid200):
@@ -135,23 +134,22 @@ class TestOptimizeWarping:
         f = refit_on_grid(0, grid200, sine_shape(grid200.points) + rng.normal(0, 0.3, 200))
         g = refit_on_grid(1, grid200, np.cos(2 * np.pi * grid200.points**2))
         for lambda0 in (0.0, 0.5, 2.0):
-            _, parts = optimize_warping(f, g, lambda0)
             identity_value = rho_parts(f, g, identity_warping(), lambda0).rho
-            assert parts.rho >= identity_value - 1e-9
+            assert optimize_warping(f, g, lambda0).rho >= identity_value - 1e-9
 
     def test_returned_value_matches_fixed_warp_evaluation(self, grid200):
         f = refit_on_grid(0, grid200, sine_shape(grid200.points**0.8))
         g = refit_on_grid(1, grid200, sine_shape(grid200.points))
-        warp, parts = optimize_warping(f, g, 0.25)
-        again = rho_parts(f, g, warp, 0.25)
-        assert abs(again.rho - parts.rho) <= 1e-10
+        entry = optimize_warping(f, g, 0.25)
+        again = rho_parts(f, g, entry.warp, 0.25)
+        assert abs(again.rho - entry.rho) <= 1e-10
 
     def test_fewer_evaluations_with_small_budget_still_valid(self, grid200, monkeypatch):
         f = refit_on_grid(0, grid200, sine_shape(grid200.points**1.1))
         g = refit_on_grid(1, grid200, sine_shape(grid200.points))
         monkeypatch.setattr(warping, "_BUDGET_PER_START", 50)
-        _, parts = optimize_warping(f, g, 0.0)
-        assert parts.rho >= rho_parts(f, g, identity_warping(), 0.0).rho - 1e-9
+        rho = optimize_warping(f, g, 0.0).rho
+        assert rho >= rho_parts(f, g, identity_warping(), 0.0).rho - 1e-9
 
 
 def _reference_coefficients_from_raw(raw, greville_steps):
@@ -175,7 +173,7 @@ def _reference_proxy_objective(f, g, lambda0, ws):
     f_centered = fs - w @ fs
     f_norm = np.sqrt(w @ (f_centered * f_centered))
     g_bspline = g.spline
-    basis, deriv, steps = ws.basis, ws.deriv, ws.greville_steps
+    basis, deriv, steps = ws.basis, ws.deriv, warping._GREVILLE_STEPS
 
     def objective(raw: np.ndarray) -> float:
         coef = _reference_coefficients_from_raw(raw, steps)
@@ -215,22 +213,23 @@ class TestProxyObjectiveIdentity:
         rng = np.random.default_rng(20)
         f = random_smooth_curve(0, grid, rng)
         g = random_smooth_curve(1, grid, rng)
-        ws = warping._workspace(grid, warping.DEFAULT_SPLINES)
+        ws = warping._workspace(grid)
         lean = warping._proxy_objective(f, g, lambda0, ws)
         reference = _reference_proxy_objective(f, g, lambda0, ws)
 
-        raws = rng.normal(0.0, 1.0, (2400, ws.n_raw)) * rng.uniform(0.01, 3.0, (2400, 1))
+        n_raw = n_raw_params()
+        raws = rng.normal(0.0, 1.0, (2400, n_raw)) * rng.uniform(0.01, 3.0, (2400, 1))
         # an end entry far below the rest makes dpsi vanish at 0 or 1 and hits
         # the 2.0 guard; interior and upward outliers may or may not
-        raws[:100][np.arange(100), rng.choice([0, ws.n_raw - 1], 100)] = -40.0
-        raws[100:150][np.arange(50), rng.integers(0, ws.n_raw, 50)] = -40.0
-        raws[150:160][np.arange(10), rng.integers(0, ws.n_raw, 10)] = 40.0
+        raws[:100][np.arange(100), rng.choice([0, n_raw - 1], 100)] = -40.0
+        raws[100:150][np.arange(50), rng.integers(0, n_raw, 50)] = -40.0
+        raws[150:160][np.arange(10), rng.integers(0, n_raw, 10)] = 40.0
         raws[160] = np.nan
 
         lean_values = [lean(raw) for raw in raws]
         ref_values = [reference(raw) for raw in raws]
         assert lean_values == ref_values
-        steps = ws.greville_steps
+        steps = warping._GREVILLE_STEPS
         for raw in raws:
             assert (
                 warping._coefficients_from_raw(raw, steps).tobytes()
@@ -249,9 +248,11 @@ class TestProxyObjectiveIdentity:
         lean = [optimize_warping(f, g, lambda0) for f, g, lambda0 in pairs]
         monkeypatch.setattr(warping, "_proxy_objective", _reference_proxy_objective)
         reference = [optimize_warping(f, g, lambda0) for f, g, lambda0 in pairs]
-        for (warp, parts), (ref_warp, ref_parts) in zip(lean, reference):
-            assert warp.forward.coefficients.tobytes() == ref_warp.forward.coefficients.tobytes()
-            assert parts.rho == ref_parts.rho
+        for entry, ref in zip(lean, reference):
+            assert entry.warp.forward.coefficients.tobytes() == (
+                ref.warp.forward.coefficients.tobytes()
+            )
+            assert entry.rho == ref.rho
 
 
 @pytest.fixture()
@@ -348,8 +349,8 @@ class TestHelperProcesses:
 
     def test_final_points_come_back_in_start_order(self, pairs, spare_cpus):
         f, g, lambda0 = pairs[0]
-        ws = warping._workspace(f.grid, warping.DEFAULT_SPLINES)
-        starts, _ = warping._start_points(warping.DEFAULT_SPLINES)
+        ws = warping._workspace(f.grid)
+        starts, _ = warping._start_points()
         objective = warping._proxy_objective(f, g, lambda0, ws)
         serial = [warping._budgeted_nelder_mead(objective, raw).tobytes() for raw in starts]
         assert len(set(serial)) == len(starts)
@@ -359,8 +360,8 @@ class TestHelperProcesses:
             assert [x.tobytes() for x in finals] == serial
 
     def test_start_warps_are_shared_and_read_only(self):
-        starts, warps = warping._start_points(warping.DEFAULT_SPLINES)
-        again = warping._start_points(warping.DEFAULT_SPLINES)
+        starts, warps = warping._start_points()
+        again = warping._start_points()
         assert again[1] is warps and len(starts) == len(warps) == 5
         for raw, warp in zip(starts, warps):
             built = make_warping(raw)
