@@ -49,3 +49,18 @@ def warp_weighted_inner(
     fc = f - warp_weighted_mean(f, dpsi, weights)
     gc = g - warp_weighted_mean(g, dpsi, weights)
     return float(weights @ (fc * gc * dpsi))
+
+
+def warp_weighted_rows(
+    g: np.ndarray, dpsi: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Rows v with f @ v[l] = warp_weighted_inner(f, g_l, dpsi[l], weights) for
+    every f, where g is one curve (g_l = g) or one curve per row of dpsi.
+
+    With d = dpsi[l] and m_d(f) = sum w*d*f, expanding the centered product gives
+    <f, g>_d = sum w*d*f*g - m_d(f)*m_d(g)*(2 - sum w*d),
+    so v[l] = w*d*(g_l - m_d(g_l)*(2 - sum w*d)).
+    """
+    wd = weights * dpsi
+    means = (wd * g).sum(axis=1)
+    return wd * (g - (means * (2.0 - wd.sum(axis=1)))[:, None])

@@ -21,9 +21,9 @@ from .errors import (
     InvalidInputError,
     MissingSimilaritiesError,
 )
-from .products import center_inner, centered_norm, warp_weighted_inner
-from .splines import DEFAULT_SPLINES, SplineSettings, derivative, evaluate
-from .warping import Warping, rho_parts
+from .products import center_inner, centered_norm, warp_weighted_rows
+from .splines import DEFAULT_SPLINES, SplineSettings
+from .warping import Warping, forward_on_grid, rho_parts
 
 W_FLOOR = 1e-6
 IND_MAX_CLAMP = (1e-6, 1.0 - 1e-6)
@@ -55,55 +55,57 @@ def weight_exponent(original_sims) -> float:
 
 
 class _Quantities:
-    """Per-target arrays shared by weight selection and the shrinkage bound."""
+    """Per-target arrays shared by weight selection and the shrinkage bound,
+    one row per neighbor.
+
+    The warp-weighted products use neighbor l's measure w*d with d = psi'_l.
+    Expanding the centered product gives, with m_d(f) = sum w*d*f,
+
+        <f, g>_d = sum w*d*f*g - m_d(f)*m_d(g)*(2 - sum w*d),
+
+    which is f @ v_l for the row v_l = w*d*(g - m_d(g)*(2 - sum w*d)) that
+    `warp_weighted_rows` builds for every l at once.  Each warp-weighted
+    product is then a row-wise reduction, and res2[j], a sum over l of
+    <unit_j, w_resid_l> under measure l, is unit_j @ (sum over l of v_l).
+    """
 
     def __init__(self, ctx: UpdateContext):
         grid = ctx.target.grid
         w = grid.weights
         self.grid = grid
         self.w = w
-        self.f1 = ctx.target.samples
-        k = len(ctx.others)
-        n = len(grid)
-        self.warped = np.empty((k, n))  # h_j = neighbor composed with its warp
-        self.dpsi = np.empty((k, n))
-        for j, (other, warp) in enumerate(zip(ctx.others, ctx.warps)):
-            self.warped[j] = other.spline(np.clip(warp.forward(grid.points), 0.0, 1.0))
-            self.dpsi[j] = evaluate(derivative(warp.forward), grid.points)
-        self.norms = np.array([centered_norm(h, w) for h in self.warped])
+        f1 = self.f1 = ctx.target.samples
+        psi, self.dpsi = forward_on_grid(ctx.warps, grid)
+        # h_j = neighbor composed with its warp
+        self.warped = np.array([other.spline(p) for other, p in zip(ctx.others, psi)])
+        centered = self.warped - (self.warped @ w)[:, None]
+        self.norms = np.sqrt((centered * centered) @ w)
         if np.any(self.norms <= 1e-12):
             raise DegenerateDataError("warped neighbor has zero seminorm")
         self.unit = self.warped / self.norms[:, None]
         # plain centered inner products with the target
-        self.ip_f1 = np.array([center_inner(self.f1, h, w) for h in self.warped])
+        self.ip_f1 = centered @ (w * (f1 - w @ f1))
         # residual sum for the first zeroing rule
-        resid = (self.warped - self.ip_f1[:, None] * self.f1[None, :]) / self.norms[:, None]
+        resid = (self.warped - self.ip_f1[:, None] * f1) / self.norms[:, None]
         self.resid_sum = resid.sum(axis=0)
-        self.res1 = np.array([center_inner(u, self.resid_sum, w) for u in self.unit])
+        self.res1 = centered @ (w * (self.resid_sum - w @ self.resid_sum)) / self.norms
         # warp-weighted quantities for the second zeroing rule
-        self.f1_wnorms = np.empty(k)
-        self.w_resid = np.empty((k, n))
-        for l in range(k):
-            d = self.dpsi[l]
-            nw = warp_weighted_inner(self.f1, self.f1, d, w)
-            if nw <= 1e-12:
-                raise DegenerateDataError(
-                    "target has zero warp-weighted seminorm for a neighbor"
-                )
-            self.f1_wnorms[l] = math.sqrt(nw)
-            ip_w = warp_weighted_inner(self.warped[l], self.f1, d, w)
-            self.w_resid[l] = (
-                self.warped[l] - ip_w * self.f1 / nw
-            ) / self.f1_wnorms[l]
-        self.res2 = np.array(
-            [
-                sum(
-                    warp_weighted_inner(self.unit[j], self.w_resid[l], self.dpsi[l], w)
-                    for l in range(k)
-                )
-                for j in range(k)
-            ]
-        )
+        self.f1_rows = warp_weighted_rows(f1, self.dpsi, w)
+        nw = self.f1_rows @ f1
+        if np.any(nw <= 1e-12):
+            raise DegenerateDataError(
+                "target has zero warp-weighted seminorm for a neighbor"
+            )
+        self.f1_wnorms = np.sqrt(nw)
+        self.ip_w = _rowwise_dot(self.f1_rows, self.warped)
+        self.w_resid = (
+            self.warped - (self.ip_w / nw)[:, None] * f1
+        ) / self.f1_wnorms[:, None]
+        self.res2 = self.unit @ warp_weighted_rows(self.w_resid, self.dpsi, w).sum(axis=0)
+
+
+def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
 
 
 def select_update_weights(ctx: UpdateContext, _q: Optional[_Quantities] = None):
@@ -114,24 +116,17 @@ def select_update_weights(ctx: UpdateContext, _q: Optional[_Quantities] = None):
     the caller leaves the target unchanged.
     """
     q = _q if _q is not None else _Quantities(ctx)
-    k = len(ctx.others)
-    theta = np.zeros(k)
-    survivors = [
-        j
-        for j in range(k)
-        if q.ip_f1[j] > 0.0 and q.res1[j] > 0.0 and q.res2[j] > 0.0
-    ]
-    if not survivors:
+    theta = np.zeros(len(ctx.others))
+    survivors = np.flatnonzero((q.ip_f1 > 0.0) & (q.res1 > 0.0) & (q.res2 > 0.0))
+    if not survivors.size:
         return theta, True
-    sims = np.array([ctx.sims[j] for j in survivors])
+    sims = np.asarray(ctx.sims, dtype=float)[survivors]
     top = sims.max()
     if top <= W_FLOOR:
         ratios = np.ones_like(sims)  # all similarities non-positive: equal split
     else:
         ratios = np.maximum(sims / top, W_FLOOR)
-    weights = np.array(
-        [ctx.n_js[j] for j in survivors], dtype=float
-    ) * ratios**ctx.tau
+    weights = np.asarray(ctx.n_js, dtype=float)[survivors] * ratios**ctx.tau
     theta[survivors] = weights / weights.sum()
     return theta, False
 
@@ -152,18 +147,13 @@ def _shrinkage_parts(ctx: UpdateContext, theta: np.ndarray, q: _Quantities):
     if abs(denom) > LC5_DENOM_TOL:
         lc5 = (resid_norm**2 * ip_s_f1**2 - ip_g0_s0**2) / denom - ip_g0_f1
 
-    k = len(ctx.others)
-    a = np.empty(k)
-    b = np.empty(k)
-    d = np.empty(k)
-    e = np.empty(k)
-    for j in range(k):
-        dp = q.dpsi[j]
-        n1 = q.f1_wnorms[j]
-        a[j] = warp_weighted_inner(f1, q.warped[j], dp, w) / n1
-        b[j] = warp_weighted_inner(g0, q.warped[j], dp, w) / n1
-        d[j] = 2.0 * warp_weighted_inner(f1, g0, dp, w) / n1**2
-        e[j] = math.sqrt(max(warp_weighted_inner(g0, g0, dp, w), 0.0)) / n1
+    # warp-weighted products under each neighbor's measure (see _Quantities)
+    n1 = q.f1_wnorms
+    g0_rows = warp_weighted_rows(g0, q.dpsi, w)
+    a = q.ip_w / n1
+    b = _rowwise_dot(g0_rows, q.warped) / n1
+    d = 2.0 * (q.f1_rows @ g0) / n1**2
+    e = np.sqrt(np.maximum(g0_rows @ g0, 0.0)) / n1
     alpha = b - 0.5 * a * d
     beta = 0.5 * (a * e**2 + b * d + np.abs(b) * e) + (3.0 / math.sqrt(2.0)) * (
         np.abs(a) + 1.0
@@ -215,18 +205,24 @@ def update_all(
 ):
     """Update every curve once, in ascending id order.
 
-    Before each update all curves are renormalized to unit seminorm; each
-    update sees the most recent versions of the others.  Warps and similarities
-    are the ones from the supplied matrix (refreshed once per pipeline
-    iteration), which stay valid under renormalization because the similarity
-    is scale invariant.
+    Every update sees all curves at unit seminorm and the most recent versions
+    of the others.  All curves are normalized once before the first update;
+    after that only the curve just updated is, when the next target is
+    visited, since `normalize` returns a unit curve unchanged.  The last
+    updated curve is returned as the update left it, not normalized.  Warps
+    and similarities are the ones from the supplied matrix (refreshed once per
+    pipeline iteration), which stay valid under renormalization because the
+    similarity is scale invariant.
     """
     pool = {c.id: c for c in curves}
     order = sorted(pool)
     if len(order) < 2:
         return [pool[i] for i in order]
+    pool = {i: normalize(c) for i, c in pool.items()}
+    updated_id = None
     for target_id in order:
-        pool = {i: normalize(c) for i, c in pool.items()}
+        if updated_id is not None:
+            pool[updated_id] = normalize(pool[updated_id])
         other_ids = [i for i in order if i != target_id]
         ctx = UpdateContext(
             target=pool[target_id],
@@ -239,6 +235,7 @@ def update_all(
             settings=settings,
         )
         pool[target_id] = update_curve(ctx)
+        updated_id = target_id
     return [pool[i] for i in order]
 
 

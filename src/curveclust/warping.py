@@ -125,13 +125,24 @@ def _difference_operator(degree: int, interior_knots: np.ndarray) -> np.ndarray:
     return op
 
 
+def _design_matrices(points: np.ndarray, interior: np.ndarray) -> tuple:
+    """Value and derivative design matrices of warp-degree splines on
+    `interior`: `basis @ coef` and `deriv @ coef` are psi and psi' at `points`."""
+    basis = basis_matrix(points, WARP_DEGREE, interior)
+    diff_op = _difference_operator(WARP_DEGREE, interior)
+    return basis, basis_matrix(points, WARP_DEGREE - 1, interior) @ diff_op
+
+
 class _WarpWorkspace:
-    """Cached matrices for fast warp/derivative evaluation on a fixed grid."""
+    """Cached matrices for fast warp/derivative evaluation on a fixed grid, for
+    both knot layouts of the family: a warp (`basis`, `deriv`) and an inverse
+    (`inverse_basis`, `inverse_deriv`)."""
 
     def __init__(self, grid: Grid):
-        self.basis = basis_matrix(grid.points, WARP_DEGREE, WARP_INTERIOR)
-        diff_op = _difference_operator(WARP_DEGREE, WARP_INTERIOR)
-        self.deriv = basis_matrix(grid.points, WARP_DEGREE - 1, WARP_INTERIOR) @ diff_op
+        self.basis, self.deriv = _design_matrices(grid.points, WARP_INTERIOR)
+        self.inverse_basis, self.inverse_deriv = _design_matrices(
+            grid.points, INVERSE_INTERIOR
+        )
 
 
 _workspaces: dict = {}
@@ -142,6 +153,36 @@ def _workspace(grid: Grid) -> _WarpWorkspace:
     if ws is None:
         ws = _workspaces[grid.key] = _WarpWorkspace(grid)
     return ws
+
+
+def _has_layout(spline: SplineRep, interior: np.ndarray) -> bool:
+    return spline.degree == WARP_DEGREE and (
+        spline.interior_knots is interior
+        or np.array_equal(spline.interior_knots, interior)
+    )
+
+
+def forward_on_grid(warps, grid: Grid) -> tuple:
+    """psi (clipped into [0, 1]) and psi' of each warp's forward spline at the
+    grid points, one row per warp, from the workspace's design matrices: one
+    product per knot layout.  A swapped warp reads its inverse forward."""
+    ws = _workspace(grid)
+    psi = np.empty((len(warps), len(grid)))
+    dpsi = np.empty_like(psi)
+    placed = 0
+    for interior, basis, deriv in (
+        (WARP_INTERIOR, ws.basis, ws.deriv),
+        (INVERSE_INTERIOR, ws.inverse_basis, ws.inverse_deriv),
+    ):
+        rows = [j for j, warp in enumerate(warps) if _has_layout(warp.forward, interior)]
+        if rows:
+            coef = np.array([warps[j].forward.coefficients for j in rows])
+            psi[rows] = coef @ basis.T
+            dpsi[rows] = coef @ deriv.T
+            placed += len(rows)
+    if placed != len(warps):
+        raise InvalidInputError("warp spline is outside the fixed warp family")
+    return np.clip(psi, 0.0, 1.0, out=psi), dpsi
 
 
 def n_raw_params() -> int:

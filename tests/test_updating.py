@@ -6,9 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from curveclust.curves import normalize, refit_on_grid
-from curveclust.errors import MissingSimilaritiesError
-from curveclust.products import center_inner, warp_weighted_inner, warp_weighted_mean
-from curveclust.similarity import similarity_matrix
+from curveclust.errors import DegenerateDataError, MissingSimilaritiesError
+from curveclust.products import (
+    center_inner,
+    centered_norm,
+    warp_weighted_inner,
+    warp_weighted_mean,
+    warp_weighted_rows,
+)
+from curveclust.similarity import SimilarityMatrix, rho_given_psi, similarity_matrix
 from curveclust.splines import derivative, evaluate, uniform_grid
 from curveclust.updating import (
     UpdateContext,
@@ -21,7 +27,13 @@ from curveclust.updating import (
     verify_improvement,
     weight_exponent,
 )
-from curveclust.warping import identity_warping, make_warping, n_raw_params, power_warp_raw
+from curveclust.warping import (
+    forward_on_grid,
+    identity_warping,
+    make_warping,
+    n_raw_params,
+    power_warp_raw,
+)
 
 from .conftest import random_smooth_curve, sine_shape
 
@@ -215,7 +227,7 @@ def reference_shrinkage(ctx, theta):
     ratio = sum(betas) / sum(alphas) if sum(alphas) > 0 else -math.inf
     lc6 = max(ratio, max(floor_terms))
     lam = lc6 if lc5 is None else max(lc5, lc6)
-    return lam, lc5, lc6
+    return lam, lc5, lc6, sum(alphas)
 
 
 class TestShrinkageConstant:
@@ -237,7 +249,7 @@ class TestShrinkageConstant:
             if all_zero:
                 continue
             lam = shrinkage_constant(ctx, theta)
-            ref_lam, _, _ = reference_shrinkage(ctx, theta)
+            ref_lam = reference_shrinkage(ctx, theta)[0]
             assert lam == pytest.approx(ref_lam, rel=1e-8)
             agreements += 1
             if agreements >= 20:
@@ -404,3 +416,166 @@ class TestImprovementGuarantee:
                 qualifying += 1
                 assert check.sum_after >= check.sum_before - 1e-6
         assert qualifying >= 10
+
+
+def mixed_layout_context(rng, k):
+    """A context of k - 1 neighbors whose warps alternate between the warp
+    layout and a swapped warp, whose forward is the 23-knot inverse."""
+    ctx = make_context(rng, k)
+    ctx.warps = [w.swapped() if j % 2 else w for j, w in enumerate(ctx.warps)]
+    return ctx
+
+
+def loop_quantities(ctx):
+    """Loop transcription of _Quantities: one scalar product per call, with psi
+    and psi' evaluated through the warp's own spline."""
+    grid = ctx.target.grid
+    w = grid.weights
+    f1 = ctx.target.samples
+    warped = [
+        o.spline(np.clip(wp.forward(grid.points), 0.0, 1.0))
+        for o, wp in zip(ctx.others, ctx.warps)
+    ]
+    dpsi = [evaluate(derivative(wp.forward), grid.points) for wp in ctx.warps]
+    k = len(warped)
+    norms = np.array([centered_norm(h, w) for h in warped])
+    unit = [h / c for h, c in zip(warped, norms)]
+    ip_f1 = np.array([center_inner(f1, h, w) for h in warped])
+    resid_sum = sum((h - ip * f1) / c for h, ip, c in zip(warped, ip_f1, norms))
+    res1 = np.array([center_inner(u, resid_sum, w) for u in unit])
+    f1_wnorms = np.empty(k)
+    w_resid = np.empty((k, len(grid)))
+    for l in range(k):
+        nw = warp_weighted_inner(f1, f1, dpsi[l], w)
+        f1_wnorms[l] = math.sqrt(nw)
+        ip_w = warp_weighted_inner(warped[l], f1, dpsi[l], w)
+        w_resid[l] = (warped[l] - ip_w * f1 / nw) / f1_wnorms[l]
+    res2 = np.array(
+        [
+            sum(warp_weighted_inner(unit[j], w_resid[l], dpsi[l], w) for l in range(k))
+            for j in range(k)
+        ]
+    )
+    return {
+        "norms": norms,
+        "ip_f1": ip_f1,
+        "res1": res1,
+        "f1_wnorms": f1_wnorms,
+        "w_resid": w_resid,
+        "res2": res2,
+    }
+
+
+def close(value, want):
+    np.testing.assert_allclose(value, want, rtol=1e-12, atol=1e-12)
+
+
+class TestBatchedQuantities:
+    """The whole-array quantities against the scalar loop they replace."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_quantities_match_loop(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        ctx = mixed_layout_context(rng, k=int(rng.integers(3, 8)))
+        q = _Quantities(ctx)
+        ref = loop_quantities(ctx)
+        for name in ("norms", "ip_f1", "res1", "f1_wnorms", "w_resid", "res2"):
+            close(getattr(q, name), ref[name])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_shrinkage_parts_match_loop(self, seed):
+        rng = np.random.default_rng(800 + seed)
+        ctx = mixed_layout_context(rng, k=int(rng.integers(3, 8)))
+        q = _Quantities(ctx)
+        theta = rng.dirichlet(np.ones(len(ctx.others)))
+        lam, lc5, lc6, _, alpha_sum = _shrinkage_parts(ctx, theta, q)
+        ref_lam, ref_lc5, ref_lc6, ref_alpha_sum = reference_shrinkage(ctx, theta)
+        close(lam, ref_lam)
+        close(lc6, ref_lc6)
+        close(alpha_sum, ref_alpha_sum)
+        assert (lc5 is None) == (ref_lc5 is None)
+        if lc5 is not None:
+            close(lc5, ref_lc5)
+
+    @given(st.integers(0, 10_000), st.integers(1, 6), st.booleans())
+    def test_weighted_rows_match_scalar_inner(self, seed, k, one_curve):
+        rng = np.random.default_rng(seed)
+        warps = [make_warping(rng.normal(0, 0.5, n_raw_params())) for _ in range(k)]
+        warps = [w.swapped() if rng.random() < 0.5 else w for w in warps]
+        _, dpsi = forward_on_grid(warps, GRID)
+        f = rng.normal(size=len(GRID)) + rng.normal()
+        g = rng.normal(size=len(GRID) if one_curve else (k, len(GRID))) + rng.normal()
+        rows = warp_weighted_rows(g, dpsi, GRID.weights)
+        for l in range(k):
+            g_l = g if one_curve else g[l]
+            close(f @ rows[l], warp_weighted_inner(f, g_l, dpsi[l], GRID.weights))
+
+    def test_zero_seminorm_neighbor_raises(self):
+        rng = np.random.default_rng(3)
+        ctx = mixed_layout_context(rng, k=4)
+        ctx.others[1] = refit_on_grid(9, GRID, np.full(len(GRID), 0.4))
+        with pytest.raises(DegenerateDataError, match="zero seminorm"):
+            _Quantities(ctx)
+
+    def test_target_constant_under_a_neighbor_measure_raises(self):
+        rng = np.random.default_rng(4)
+        ctx = mixed_layout_context(rng, k=4)
+        ctx.target = refit_on_grid(0, GRID, np.full(len(GRID), -1.5))
+        with pytest.raises(DegenerateDataError, match="warp-weighted seminorm"):
+            _Quantities(ctx)
+
+
+def warped_matrix(curves, rng):
+    """A similarity matrix over `curves` with random non-identity warps, so
+    that each update reads warps of both knot layouts."""
+    entries = {}
+    for i, f in enumerate(curves):
+        for g in curves[i + 1 :]:
+            warp = make_warping(rng.normal(0, 0.3, n_raw_params()))
+            entries[f.id, g.id] = rho_given_psi(f, g, warp, 0.5)
+    return SimilarityMatrix(entries, [c.id for c in curves])
+
+
+class TestUpdateAllOrder:
+    def curves_and_matrix(self):
+        rng = np.random.default_rng(21)
+        base = random_smooth_curve(0, GRID, rng)
+        curves = [
+            refit_on_grid(i, GRID, (1.0 + i) * (base.samples + rng.normal(0, 0.3, len(GRID))))
+            for i in range(6)
+        ]
+        return curves, warped_matrix(curves, rng)
+
+    def test_shuffled_input_gives_identical_bytes(self):
+        curves, matrix = self.curves_and_matrix()
+        first = update_all(curves, matrix, 0.5, 1.0)
+        for seed in range(3):
+            shuffled = list(curves)
+            np.random.default_rng(seed).shuffle(shuffled)
+            again = update_all(shuffled, matrix, 0.5, 1.0)
+            assert [c.id for c in again] == [c.id for c in first]
+            for a, b in zip(again, first):
+                assert a.samples.tobytes() == b.samples.tobytes()
+
+    def test_same_bytes_as_renormalizing_every_curve_before_each_update(self):
+        curves, matrix = self.curves_and_matrix()
+        pool = {c.id: c for c in curves}
+        for target_id in sorted(pool):
+            pool = {i: normalize(c) for i, c in pool.items()}
+            other_ids = [i for i in sorted(pool) if i != target_id]
+            pool[target_id] = update_curve(
+                UpdateContext(
+                    target=pool[target_id],
+                    others=[pool[i] for i in other_ids],
+                    warps=[matrix.warp(target_id, i) for i in other_ids],
+                    sims=[matrix.rho(target_id, i) for i in other_ids],
+                    n_js=[pool[i].n_orig for i in other_ids],
+                    tau=1.0,
+                    lambda0=0.5,
+                )
+            )
+        updated = update_all(curves, matrix, 0.5, 1.0)
+        moved = [c for c in curves if not np.allclose(normalize(c).samples, pool[c.id].samples)]
+        assert len(moved) >= 3
+        for c in updated:
+            assert c.samples.tobytes() == pool[c.id].samples.tobytes()

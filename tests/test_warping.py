@@ -15,7 +15,7 @@ import curveclust
 from curveclust import warping
 from curveclust.combining import assign_groups, candidate_partition, combine_group
 from curveclust.curves import refit_on_grid
-from curveclust.errors import InvalidParameterError, MonotonicityError
+from curveclust.errors import InvalidInputError, InvalidParameterError, MonotonicityError
 from curveclust.indices import distances_from_similarity, silhouette
 from curveclust.products import ZERO_NORM_TOL
 from curveclust.similarity import SimilarityMatrix, rho_given_psi, similarity
@@ -23,6 +23,7 @@ from curveclust.splines import (
     SplineRep,
     derivative,
     evaluate,
+    make_grid,
     uniform_interior_knots,
 )
 from curveclust.updating import update_all, weight_exponent
@@ -93,6 +94,31 @@ class TestInvertWarping:
         wiggly = SplineRep(2, knots, np.array([0.0, 0.6, 0.3, 0.5, 0.9, 1.0]))
         with pytest.raises(MonotonicityError):
             invert_warping(wiggly)
+
+
+class TestForwardOnGrid:
+    """Batched psi and psi' from the workspace's design matrices against each
+    warp's own spline, for both knot layouts of the family."""
+
+    @pytest.mark.parametrize("points", [np.linspace(0, 1, 100), np.linspace(0, 1, 333) ** 1.4])
+    def test_matches_spline_evaluation(self, points):
+        grid = make_grid(points)
+        rng = np.random.default_rng(31)
+        warps = [make_warping(rng.normal(0.0, 0.6, n_raw_params())) for _ in range(6)]
+        warps = warps[:3] + [w.swapped() for w in warps[3:]] + [identity_warping()]
+        psi, dpsi = warping.forward_on_grid(warps, grid)
+        for j, warp in enumerate(warps):
+            want = np.clip(warp.forward(grid.points), 0.0, 1.0)
+            np.testing.assert_allclose(psi[j], want, rtol=0, atol=1e-12)
+            want_d = evaluate(derivative(warp.forward), grid.points)
+            np.testing.assert_allclose(dpsi[j], want_d, rtol=1e-12, atol=1e-12)
+        assert psi.min() >= 0.0 and psi.max() <= 1.0
+
+    def test_foreign_layout_rejected(self, grid100):
+        knots = uniform_interior_knots(5)
+        foreign = SplineRep(2, knots, np.linspace(0.0, 1.0, 8))
+        with pytest.raises(InvalidInputError):
+            warping.forward_on_grid([identity_warping(), warping.Warping(foreign, foreign)], grid100)
 
 
 class TestRoughnessPenalty:
