@@ -9,8 +9,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .errors import DegenerateDataError, InvalidInputError
 from .indices import DUNN_INTER, DUNN_INTRA, distances_from_similarity, dunn, silhouette
 from .indices import adjusted_rand
@@ -25,6 +23,7 @@ from .io import (
 from .pipeline import RunConfig, prepare_curves, run
 from .similarity import similarity, similarity_matrix
 from .simulation import generate, scenario_preset
+from .warping import warp_samples
 
 # cluster, align and indexes smooth onto the same grid unless told otherwise,
 # so align and indexes reproduce the values a cluster run used
@@ -146,8 +145,6 @@ def _cmd_align(args) -> int:
     except KeyError as exc:
         raise InvalidInputError(f"unknown curve id: {exc}") from exc
     entry = similarity(curves[a], curves[b], args.lambda0)
-    ts = np.linspace(0.0, 1.0, 101)
-    warp_vals = np.clip(entry.warp.forward(ts), 0.0, 1.0)
     data = {
         "pair": parts,
         "rho": entry.rho,
@@ -155,7 +152,7 @@ def _cmd_align(args) -> int:
         "r_inv": entry.r_inv,
         "penalty_fwd": entry.penalty_fwd,
         "penalty_inv": entry.penalty_inv,
-        "warp": [[float(t), float(v)] for t, v in zip(ts, warp_vals)],
+        "warp": warp_samples(entry.warp),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")

@@ -28,7 +28,6 @@ class Partition:
     """Disjoint groups covering all original curve ids."""
 
     groups: tuple  # tuple of frozensets
-    index_value: float | None = None
 
     def sorted_groups(self):
         return sorted((sorted(g) for g in self.groups), key=lambda g: g[0])

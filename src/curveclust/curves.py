@@ -38,14 +38,10 @@ class Curve:
         return h.digest()
 
 
-def fit_shape_spline(
-    x, y, settings: SplineSettings = DEFAULT_SPLINES, weights=None
-) -> SplineRep:
+def fit_shape_spline(x, y, settings: SplineSettings = DEFAULT_SPLINES) -> SplineRep:
     x = np.asarray(x, dtype=float)
-    if weights is None:
-        weights = np.ones_like(x)
     return fit_least_squares(
-        x, y, weights, settings.shape_degree, settings.shape_interior()
+        x, y, np.ones_like(x), settings.shape_degree, settings.shape_interior()
     )
 
 

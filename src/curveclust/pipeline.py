@@ -23,10 +23,14 @@ from .indices import DistanceMatrix, distances_from_similarity, index_function
 from .similarity import PairCache, SimilarityMatrix, similarity_matrix
 from .splines import DEFAULT_SPLINES, SplineSettings, check_time_points, uniform_grid
 from .updating import update_all, weight_exponent
-from .warping import check_lambda0
+from .warping import check_lambda0, warp_samples
 
 # Four combination thresholds placed just below the chosen similarity quantile.
 THRESHOLD_OFFSETS = tuple(-0.01 + 0.01 * i / 3 for i in range(4))
+
+# A threshold's loop stops once an iteration moves the mean similarity by less
+# than this.
+STABILITY_TOL = 1e-3
 
 # Similarities this close to one count as "equal to one" and are excluded from
 # the threshold quantile and the weight exponent.
@@ -42,7 +46,6 @@ class RunConfig:
     dunn_intra: str = "J1"
     grid_size: int = 500
     max_iterations: int = 10
-    stability_tol: float = 1e-3
     splines: SplineSettings = field(default_factory=lambda: DEFAULT_SPLINES)
 
     def __post_init__(self):
@@ -53,6 +56,7 @@ class RunConfig:
             raise InvalidInputError("max_iterations must be at least 1")
         if self.grid_size < 50:
             raise InvalidInputError("grid_size must be at least 50")
+        index_function(self.index, self.dunn_inter, self.dunn_intra)
 
     @property
     def index_name(self) -> str:
@@ -142,7 +146,7 @@ class _Shared:
 
 def run_single_threshold(shared: _Shared, c_star: float):
     """One combine/update loop at a fixed threshold; returns the candidate
-    records, the iteration log, and the number of iterations used."""
+    records and the iteration log, one entry per iteration used."""
     config = shared.config
     curves = list(shared.originals)
     matrix = shared.matrix
@@ -150,7 +154,6 @@ def run_single_threshold(shared: _Shared, c_star: float):
     records: List[CandidateRecord] = []
     seen = set()
     log: List[IterationLog] = []
-    iterations = 0
 
     def score_original(groups):
         # index calls on original ids see each group as a fresh set, whose
@@ -158,7 +161,6 @@ def run_single_threshold(shared: _Shared, c_star: float):
         return shared.score([set(g) for g in groups], shared.original_dist)
 
     for iteration in range(1, config.max_iterations + 1):
-        iterations = iteration
         bank = {c.id: c for c in curves}
         members_of = {i: c.members for i, c in bank.items()}
         dist_current = distances_from_similarity(matrix)
@@ -202,7 +204,7 @@ def run_single_threshold(shared: _Shared, c_star: float):
         matrix = shared.build_matrix(curves)
         mean = matrix.mean_rho()
         log.append(IterationLog(iteration, mean, n_comb))
-        if abs(mean - prev_mean) < config.stability_tol:
+        if abs(mean - prev_mean) < STABILITY_TOL:
             break
         prev_mean = mean
 
@@ -217,25 +219,21 @@ def run_single_threshold(shared: _Shared, c_star: float):
                 partition=singles,
                 score=score_original(singles.groups),
                 threshold=c_star,
-                iteration=iterations,
+                iteration=len(log),
             )
         ]
-    return records, log, iterations
+    return records, log
 
 
 def _final_warps(partition: Partition, shared: _Shared):
     """Warp samples (101 points) aligning each original curve to its group's
     reference curve; identity for references and singletons."""
-    ts = np.linspace(0.0, 1.0, 101)
     out = {}
     for group in partition.groups:
         reference = min(group) if len(group) == 1 else reference_member(group, shared.matrix)
         for m in sorted(group):
-            if m == reference:
-                out[m] = [[float(t), float(t)] for t in ts]
-            else:
-                vals = np.clip(shared.matrix.warp(m, reference).forward(ts), 0.0, 1.0)
-                out[m] = [[float(t), float(v)] for t, v in zip(ts, vals)]
+            warp = None if m == reference else shared.matrix.warp(m, reference)
+            out[m] = warp_samples(warp)
     return out
 
 
@@ -249,25 +247,21 @@ def run(curves: List[Curve], config: RunConfig) -> RunResult:
     thresholds = combination_thresholds(shared.matrix.values(), config.quantile_a)
     all_records: List[CandidateRecord] = []
     logs: Dict[float, List[IterationLog]] = {}
-    iteration_count: Dict[float, int] = {}
     for c_star in thresholds:
-        records, log, iterations = run_single_threshold(shared, c_star)
+        records, logs[c_star] = run_single_threshold(shared, c_star)
         all_records.extend(records)
-        logs[c_star] = log
-        iteration_count[c_star] = iterations
 
     winner = sorted(
         all_records,
         key=lambda r: (-r.score, len(r.partition.groups), r.threshold),
     )[0]
-    final = Partition(groups=winner.partition.groups, index_value=winner.score)
     return RunResult(
-        partition=final,
+        partition=winner.partition,
         threshold=winner.threshold,
         index_name=config.index_name,
         index_value=winner.score,
-        iterations=iteration_count[winner.threshold],
+        iterations=len(logs[winner.threshold]),
         candidates=all_records,
-        warps=_final_warps(final, shared),
+        warps=_final_warps(winner.partition, shared),
         logs=logs,
     )

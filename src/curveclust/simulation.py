@@ -93,8 +93,12 @@ class Scenario:
             raise InvalidInputError("one size per shape is required")
         if any(n <= 0 for n in self.sizes):
             raise InvalidInputError("group sizes must be positive")
-        if self.sigma < 0:
-            raise InvalidInputError("sigma must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise InvalidInputError("sigma must be finite and nonnegative")
+        if self.n_points < 4:
+            raise InvalidInputError("need at least 4 time points")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be nonnegative")
         for name in self.shapes:
             if name not in FIXED_SHAPES and name not in RANDOM_SHAPES:
                 raise InvalidInputError(f"unknown shape function: {name!r}")

@@ -124,10 +124,6 @@ class SplineRep:
     def __call__(self, x) -> np.ndarray:
         return self._bspline(np.clip(x, 0.0, 1.0))
 
-    @property
-    def n_basis(self) -> int:
-        return len(self.coefficients)
-
 
 def _check_interior(interior_knots: np.ndarray) -> np.ndarray:
     interior = np.asarray(interior_knots, dtype=float)

@@ -16,11 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from .curves import Curve, normalize, refit_on_grid
-from .errors import (
-    DegenerateDataError,
-    InvalidInputError,
-    MissingSimilaritiesError,
-)
+from .errors import DegenerateDataError, MissingSimilaritiesError
 from .products import center_inner, centered_norm, warp_weighted_rows
 from .splines import DEFAULT_SPLINES, SplineSettings
 from .warping import Warping, forward_on_grid, rho_parts
@@ -108,14 +104,13 @@ def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def select_update_weights(ctx: UpdateContext, _q: Optional[_Quantities] = None):
+def select_update_weights(ctx: UpdateContext, q: _Quantities):
     """Neighbor weights: zero out neighbors failing any of the three rules,
     split the rest proportionally to n_j * (similarity ratio) ** tau.
 
     Returns (weights, all_zero).  All-zero is a flagged outcome, not an error:
     the caller leaves the target unchanged.
     """
-    q = _q if _q is not None else _Quantities(ctx)
     theta = np.zeros(len(ctx.others))
     survivors = np.flatnonzero((q.ip_f1 > 0.0) & (q.res1 > 0.0) & (q.res2 > 0.0))
     if not survivors.size:
@@ -131,7 +126,10 @@ def select_update_weights(ctx: UpdateContext, _q: Optional[_Quantities] = None):
     return theta, False
 
 
-def _shrinkage_parts(ctx: UpdateContext, theta: np.ndarray, q: _Quantities):
+def _shrinkage_parts(theta: np.ndarray, q: _Quantities):
+    """The shrinkage constant lam = max of the two bound quantities lc5 and
+    lc6 (lc5 is None, and skipped, when its denominator is numerically zero),
+    with g0 and the sum of the alpha terms."""
     w = q.w
     f1 = q.f1
     g0 = theta @ q.unit
@@ -165,26 +163,17 @@ def _shrinkage_parts(ctx: UpdateContext, theta: np.ndarray, q: _Quantities):
     return lam, lc5, lc6, g0, alpha_sum
 
 
-def shrinkage_constant(
-    ctx: UpdateContext, theta: np.ndarray, _q: Optional[_Quantities] = None
-) -> float:
-    """The shrinkage constant: max of the two bound quantities, skipping the
-    first one when its denominator is numerically zero."""
-    if not np.any(theta > 0.0):
-        raise InvalidInputError("shrinkage is undefined for all-zero weights")
-    q = _q if _q is not None else _Quantities(ctx)
-    lam, _, _, _, _ = _shrinkage_parts(ctx, theta, q)
-    return lam
-
-
 def update_curve(ctx: UpdateContext) -> Curve:
     """Replace the target by its shrunken average with the warped neighbors,
     refit in the shape-spline space.  All-zero weights leave it unchanged."""
-    q = _Quantities(ctx)
-    theta, all_zero = select_update_weights(ctx, _q=q)
+    return _update_with(ctx, _Quantities(ctx))
+
+
+def _update_with(ctx: UpdateContext, q: _Quantities) -> Curve:
+    theta, all_zero = select_update_weights(ctx, q)
     if all_zero:
         return ctx.target
-    lam, _, _, g0, _ = _shrinkage_parts(ctx, theta, q)
+    lam, _, _, g0, _ = _shrinkage_parts(theta, q)
     combined = (lam / (lam + 1.0)) * q.f1 + g0 / (lam + 1.0)
     return refit_on_grid(
         ctx.target.id,
@@ -278,12 +267,12 @@ def verify_improvement(ctx: UpdateContext) -> ImprovementCheck:
     reasons = []
     if np.any(q.ip_f1 < 0.0):
         reasons.append("negative alignment inner product")
-    theta, all_zero = select_update_weights(norm_ctx, _q=q)
+    theta, all_zero = select_update_weights(norm_ctx, q)
     if all_zero:
         reasons.append("all weights zeroed")
         return ImprovementCheck(False, reasons, math.nan, None, math.nan, theta, math.nan, math.nan, None)
-    lam, lc5, lc6, g0, alpha_sum = _shrinkage_parts(norm_ctx, theta, q)
-    c3 = center_inner(theta @ q.unit, q.resid_sum, q.w)
+    lam, lc5, lc6, g0, alpha_sum = _shrinkage_parts(theta, q)
+    c3 = center_inner(g0, q.resid_sum, q.w)
     if c3 <= 0.0:
         reasons.append("aggregate plain residual not positive")
     if alpha_sum <= 0.0:
@@ -294,7 +283,7 @@ def verify_improvement(ctx: UpdateContext) -> ImprovementCheck:
         reasons.append("shrinkage below first bound")
     if lam < lc6:
         reasons.append("shrinkage below second bound")
-    updated = update_curve(norm_ctx)
+    updated = _update_with(norm_ctx, q)
     before = sum(
         rho_parts(norm_ctx.target, other, warp, norm_ctx.lambda0).rho
         for other, warp in zip(norm_ctx.others, norm_ctx.warps)

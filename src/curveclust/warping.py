@@ -229,20 +229,6 @@ def make_warping(raw_params) -> Warping:
     return Warping(forward=forward, inverse=invert_warping(forward))
 
 
-def identity_warping() -> Warping:
-    fwd = SplineRep(
-        degree=WARP_DEGREE,
-        interior_knots=WARP_INTERIOR,
-        coefficients=greville_abscissae(WARP_DEGREE, WARP_INTERIOR),
-    )
-    inv = SplineRep(
-        degree=WARP_DEGREE,
-        interior_knots=INVERSE_INTERIOR,
-        coefficients=greville_abscissae(WARP_DEGREE, INVERSE_INTERIOR),
-    )
-    return Warping(forward=fwd, inverse=inv)
-
-
 def _pinned_fit(x, y, degree, interior, left, right) -> np.ndarray:
     """Least-squares spline fit with the first/last coefficients pinned."""
     design = basis_matrix(x, degree, interior)
@@ -282,17 +268,21 @@ def power_warp_raw(alpha: float) -> np.ndarray:
     return raw
 
 
-def _penalty_of_spline(spline: SplineRep, grid: Grid) -> float:
-    dvals = evaluate(derivative(spline), grid.points)
-    return float(grid.weights @ (dvals - 1.0) ** 2)
-
-
 def roughness_penalty(psi: Warping, grid: Grid) -> float:
     """Integrated squared deviation of the warp derivative from 1 (trapezoid).
 
     `roughness_penalty(psi.swapped(), grid)` is the penalty of the inverse.
     """
-    return _penalty_of_spline(psi.forward, grid)
+    dvals = evaluate(derivative(psi.forward), grid.points)
+    return float(grid.weights @ (dvals - 1.0) ** 2)
+
+
+def warp_samples(warp: Warping | None) -> list:
+    """[t, psi(t)] at 101 equally spaced t in [0, 1], psi clipped into [0, 1];
+    psi is the identity when `warp` is None."""
+    ts = np.linspace(0.0, 1.0, 101)
+    vals = ts if warp is None else np.clip(warp.forward(ts), 0.0, 1.0)
+    return [[float(t), float(v)] for t, v in zip(ts, vals)]
 
 
 def _checked_warp_values(spline: SplineRep, points: np.ndarray) -> np.ndarray:
@@ -314,10 +304,10 @@ def rho_parts(f: Curve, g: Curve, warp: Warping, lambda0: float) -> SimilarityEn
     grid = f.grid
     g_warped = g.spline(_checked_warp_values(warp.forward, grid.points))
     r_fwd = corr(f.samples, g_warped, grid.weights)
-    p_fwd = _penalty_of_spline(warp.forward, grid)
+    p_fwd = roughness_penalty(warp, grid)
     f_unwarped = f.spline(_checked_warp_values(warp.inverse, grid.points))
     r_inv = corr(g.samples, f_unwarped, grid.weights)
-    p_inv = _penalty_of_spline(warp.inverse, grid)
+    p_inv = roughness_penalty(warp.swapped(), grid)
     rho = 0.5 * ((r_fwd - lambda0 * p_fwd) + (r_inv - lambda0 * p_inv))
     return SimilarityEntry(rho, warp, p_fwd, p_inv, r_fwd, r_inv)
 
@@ -415,27 +405,19 @@ def _budgeted_nelder_mead(objective, x0: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _start_points() -> tuple:
-    """The distinct starts of the multi-start search (identity first) and the
-    warp of each.
+    """The starts of the multi-start search, `power_warp_raw(alpha)` for each
+    exponent of `_POWER_STARTS` in order (1.0 gives the identity, all zeros),
+    and the warp of each.
 
     Built once and shared by every later search, so the arrays are read-only.
     """
-    starts = []
-    seen = set()
-    for alpha in _POWER_STARTS:
-        raw = power_warp_raw(alpha)
-        if raw.tobytes() not in seen:
-            seen.add(raw.tobytes())
-            starts.append(raw)
-    identity = np.zeros(n_raw_params())
-    if identity.tobytes() not in seen:
-        starts.insert(0, identity)
-    warps = [make_warping(raw) for raw in starts]
+    starts = tuple(power_warp_raw(alpha) for alpha in _POWER_STARTS)
+    warps = tuple(make_warping(raw) for raw in starts)
     for raw, warp in zip(starts, warps):
         raw.flags.writeable = False
         warp.forward.coefficients.flags.writeable = False
         warp.inverse.coefficients.flags.writeable = False
-    return tuple(starts), tuple(warps)
+    return starts, warps
 
 
 def _spare_cpus() -> int:
@@ -516,8 +498,8 @@ def _final_points(f, g, lambda0, ws, starts) -> list:
 def optimize_warping(f: Curve, g: Curve, lambda0: float) -> SimilarityEntry:
     """Maximize the penalized similarity of f and g over the warp family.
 
-    Nelder-Mead multi-start: identity plus projections of fixed power warps,
-    shared with helper processes on spare CPUs (see `_final_points`).
+    Nelder-Mead multi-start from fixed power-warp projections, the identity
+    among them, shared with helper processes on spare CPUs (`_final_points`).
     All start and final points are re-scored exactly (inverse spline included);
     the best exact value wins, so the result never falls below the identity
     alignment and matches rho_parts at the returned warp to machine precision.

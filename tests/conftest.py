@@ -5,6 +5,7 @@ import pytest
 from curveclust.curves import normalize, refit_on_grid
 from curveclust.indices import DistanceMatrix
 from curveclust.splines import uniform_grid
+from curveclust.warping import make_warping, n_raw_params
 
 hypothesis.settings.register_profile(
     "curveclust", max_examples=25, deadline=None
@@ -25,6 +26,11 @@ def grid200():
 @pytest.fixture(scope="session")
 def grid100():
     return uniform_grid(100)
+
+
+def identity_warp():
+    """The identity of the warp family: all-equal (here zero) raw parameters."""
+    return make_warping(np.zeros(n_raw_params()))
 
 
 def sine_shape(t):

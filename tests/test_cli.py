@@ -278,6 +278,24 @@ class TestExitCodes:
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 1 and errors[0].startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "option",
+        [["--sigma", "nan"], ["--sigma", "inf"], ["--points", "3"], ["--seed", "-1"]],
+        ids=["sigma-nan", "sigma-inf", "points-3", "seed-negative"],
+    )
+    def test_bad_simulate_option_invalid_input(self, tmp_path, capsys, option):
+        out, labels = tmp_path / "curves.csv", tmp_path / "labels.csv"
+        code = main(
+            [
+                "simulate", "--scenario", "s31", "--sizes", "2,2,2", *option,
+                "--out", str(out), "--labels", str(labels),
+            ]
+        )
+        assert code == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert not out.exists() and not labels.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["cluster", "align", "indexes"])
     def test_non_finite_lambda0_invalid_input(self, small_dataset, tmp_path, capsys, command, value):

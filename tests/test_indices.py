@@ -14,8 +14,8 @@ from curveclust.indices import (
     silhouette,
 )
 from curveclust.similarity import SimilarityEntry, SimilarityMatrix
-from curveclust.warping import identity_warping
 
+from .conftest import identity_warp
 from .conftest import pair_distances as pinned
 
 
@@ -111,7 +111,7 @@ def random_case(seed, string_ids):
         rhos = rng.choice([-0.2, 0.3, 0.9, 1.0], size=n * n)
     else:
         rhos = rng.uniform(-0.3, 1.0, n * n)
-    warp = identity_warping()
+    warp = identity_warp()
     entries = {
         (ids[i], ids[j]): SimilarityEntry(float(rhos[i * n + j]), warp, 0.0, 0.0, 0.0, 0.0)
         for i in range(n)

@@ -71,6 +71,11 @@ class TestPrepareCurves:
             RunConfig(lambda0=0.0, grid_size=10)
         with pytest.raises(InvalidInputError):
             RunConfig(lambda0=0.0, max_iterations=0)
+        # an unknown index is rejected before any similarity is computed
+        for index in (dict(index="silhoutte"), dict(index="dunn", dunn_inter="I4"),
+                      dict(index="dunn", dunn_intra="j1")):
+            with pytest.raises(InvalidInputError):
+                RunConfig(lambda0=0.0, **index)
 
 
 def tiny_run_config(**kwargs):
@@ -87,7 +92,7 @@ class TestRunSingleThreshold:
             refit_on_grid(1, grid, sine_shape(grid.points), members=frozenset({1})),
         ]
         shared = _Shared(curves, tiny_run_config())
-        records, log, iterations = run_single_threshold(shared, 0.5)
+        records, log = run_single_threshold(shared, 0.5)
         assert len(records) == 1
         assert records[0].partition.groups == (frozenset({0, 1}),)
         assert records[0].iteration == 1
@@ -99,7 +104,7 @@ class TestRunSingleThreshold:
             refit_on_grid(1, grid, bump_shape(grid.points), members=frozenset({1})),
         ]
         shared = _Shared(curves, tiny_run_config())
-        records, log, iterations = run_single_threshold(shared, 0.9999)
+        records, log = run_single_threshold(shared, 0.9999)
         assert len(records) == 1
         assert records[0].partition.groups == (frozenset({0}), frozenset({1}))
 
@@ -119,7 +124,7 @@ class TestRunSingleThreshold:
         curves = prepare_curves(data.points, data.samples, config)
         shared = _Shared(curves, config)
         c_star = combination_thresholds(shared.matrix.values(), config.quantile_a)[0]
-        records, _, _ = run_single_threshold(shared, c_star)
+        records, _ = run_single_threshold(shared, c_star)
         best = max(records, key=lambda r: r.score)
         assert best.partition.groups == data.truths["natural"]
 
@@ -147,8 +152,10 @@ class TestRun:
         curves = prepare_curves(data.points, data.samples, config)
         result = run(curves, config)
         assert result.iterations <= 2
+        assert result.iterations == len(result.logs[result.threshold]) >= 1
         for log in result.logs.values():
             assert len(log) <= 2
+            assert [entry.iteration for entry in log] == list(range(1, len(log) + 1))
 
     def test_rerun_identical(self):
         sc = Scenario(shapes=("f1", "f2"), warp="power", alphas=(0.9, 1.1),

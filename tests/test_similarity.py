@@ -17,14 +17,13 @@ from curveclust.similarity import (
 )
 from curveclust.splines import make_grid, uniform_grid
 from curveclust.warping import (
-    identity_warping,
     make_warping,
     n_raw_params,
     optimize_warping,
     power_warp_raw,
 )
 
-from .conftest import bump_shape, random_smooth_curve, sine_shape
+from .conftest import bump_shape, identity_warp, random_smooth_curve, sine_shape
 
 GRID = uniform_grid(500)
 W = GRID.weights
@@ -78,7 +77,7 @@ class TestRhoGivenPsi:
     def test_identity_self_similarity(self):
         f = refit_on_grid(0, GRID, sine_shape(T))
         for lambda0 in (0.0, 0.5, 3.0):
-            entry = rho_given_psi(f, f, identity_warping(), lambda0)
+            entry = rho_given_psi(f, f, identity_warp(), lambda0)
             assert entry.rho == pytest.approx(1.0, abs=1e-12)
             assert entry.penalty_fwd == 0.0
 
@@ -211,7 +210,7 @@ class TestSimilarityMatrix:
             assert matrix.rho(a, a) == 1.0
 
     def test_missing_pair_rejected(self):
-        entries = {(0, 1): SimilarityEntry(0.5, identity_warping(), 0, 0, 0, 0)}
+        entries = {(0, 1): SimilarityEntry(0.5, identity_warp(), 0, 0, 0, 0)}
         with pytest.raises(InvalidInputError):
             SimilarityMatrix(entries, [0, 1, 2])
 
@@ -265,7 +264,7 @@ class TestBadLambda0:
             "optimize_warping": lambda: optimize_warping(f, g, lambda0),
             "similarity": lambda: similarity(f, g, lambda0),
             "similarity_matrix": lambda: similarity_matrix([f, g], lambda0),
-            "rho_given_psi": lambda: rho_given_psi(f, g, identity_warping(), lambda0),
+            "rho_given_psi": lambda: rho_given_psi(f, g, identity_warp(), lambda0),
         }[entry_point]
         with pytest.raises(InvalidParameterError, match="^lambda0 must be finite and nonnegative$"):
             call()

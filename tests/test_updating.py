@@ -21,7 +21,6 @@ from curveclust.updating import (
     _Quantities,
     _shrinkage_parts,
     select_update_weights,
-    shrinkage_constant,
     update_all,
     update_curve,
     verify_improvement,
@@ -29,13 +28,12 @@ from curveclust.updating import (
 )
 from curveclust.warping import (
     forward_on_grid,
-    identity_warping,
     make_warping,
     n_raw_params,
     power_warp_raw,
 )
 
-from .conftest import random_smooth_curve, sine_shape
+from .conftest import identity_warp, random_smooth_curve, sine_shape
 
 GRID = uniform_grid(300)
 
@@ -68,7 +66,7 @@ class TestWeightedInner:
         rng = np.random.default_rng(0)
         f, g = rng.normal(size=len(GRID)), rng.normal(size=len(GRID))
         plain = center_inner(f, g, GRID.weights)
-        weighted = warp_weighted_inner(f, g, warp_derivative(identity_warping()), GRID.weights)
+        weighted = warp_weighted_inner(f, g, warp_derivative(identity_warp()), GRID.weights)
         assert weighted == pytest.approx(plain, abs=1e-10)
 
     def test_constant_curve_gives_zero(self):
@@ -118,13 +116,13 @@ class TestSelectWeights:
         ctx = UpdateContext(
             target=target,
             others=[target],
-            warps=[identity_warping()],
+            warps=[identity_warp()],
             sims=[1.0],
             n_js=[1],
             tau=1.0,
             lambda0=0.0,
         )
-        theta, all_zero = select_update_weights(ctx)
+        theta, all_zero = select_update_weights(ctx, _Quantities(ctx))
         assert all_zero and np.all(theta == 0.0)
 
     def test_anticorrelated_neighbor_zeroed(self):
@@ -133,13 +131,13 @@ class TestSelectWeights:
         ctx = UpdateContext(
             target=target,
             others=[flipped],
-            warps=[identity_warping()],
+            warps=[identity_warp()],
             sims=[-1.0],
             n_js=[1],
             tau=1.0,
             lambda0=0.0,
         )
-        theta, all_zero = select_update_weights(ctx)
+        theta, all_zero = select_update_weights(ctx, _Quantities(ctx))
         assert all_zero
 
     def test_proportionality_arithmetic(self):
@@ -157,13 +155,13 @@ class TestSelectWeights:
         ctx = UpdateContext(
             target=target,
             others=others,
-            warps=[identity_warping(), identity_warping()],
+            warps=[identity_warp(), identity_warp()],
             sims=[1.0, 0.8],
             n_js=[1, 2],
             tau=1.0,
             lambda0=0.0,
         )
-        theta, all_zero = select_update_weights(ctx)
+        theta, all_zero = select_update_weights(ctx, _Quantities(ctx))
         assert not all_zero
         np.testing.assert_allclose(theta, [1.0 / 2.6, 1.6 / 2.6], atol=1e-12)
 
@@ -171,7 +169,7 @@ class TestSelectWeights:
     def test_simplex_property(self, seed):
         rng = np.random.default_rng(seed)
         ctx = make_context(rng, k=int(rng.integers(2, 5)))
-        theta, all_zero = select_update_weights(ctx)
+        theta, all_zero = select_update_weights(ctx, _Quantities(ctx))
         assert np.all(theta >= 0.0) and np.all(theta <= 1.0)
         if not all_zero:
             assert theta.sum() == pytest.approx(1.0, abs=1e-12)
@@ -245,10 +243,11 @@ class TestShrinkageConstant:
                 tau=ctx.tau,
                 lambda0=ctx.lambda0,
             )
-            theta, all_zero = select_update_weights(ctx)
+            q = _Quantities(ctx)
+            theta, all_zero = select_update_weights(ctx, q)
             if all_zero:
                 continue
-            lam = shrinkage_constant(ctx, theta)
+            lam = _shrinkage_parts(theta, q)[0]
             ref_lam = reference_shrinkage(ctx, theta)[0]
             assert lam == pytest.approx(ref_lam, rel=1e-8)
             agreements += 1
@@ -268,11 +267,11 @@ class TestShrinkageConstant:
             tau=ctx.tau,
             lambda0=0.0,
         )
-        theta, all_zero = select_update_weights(ctx)
+        q = _Quantities(ctx)
+        theta, all_zero = select_update_weights(ctx, q)
         if all_zero:
             pytest.skip("instance zeroed out")
-        q = _Quantities(ctx)
-        lam, lc5, lc6, g0, _ = _shrinkage_parts(ctx, theta, q)
+        lam, lc5, lc6, g0, _ = _shrinkage_parts(theta, q)
         for j, (h, dpsi) in enumerate(zip(q.warped, q.dpsi)):
             n1 = q.f1_wnorms[j]
             e = math.sqrt(max(warp_weighted_inner(g0, g0, dpsi, GRID.weights), 0)) / n1
@@ -295,13 +294,13 @@ class TestShrinkageConstant:
                 lambda0=0.0,
             )
             q = _Quantities(ctx)
-            theta, all_zero = select_update_weights(ctx, _q=q)
+            theta, all_zero = select_update_weights(ctx, q)
             if all_zero:
                 continue
             found += 1
             g0 = theta @ q.unit
             c3 = center_inner(g0, q.resid_sum, GRID.weights)
-            _, _, _, _, alpha_sum = _shrinkage_parts(ctx, theta, q)
+            _, _, _, _, alpha_sum = _shrinkage_parts(theta, q)
             assert c3 > 0.0
             assert alpha_sum > 0.0
         assert found >= 5
@@ -313,7 +312,7 @@ class TestUpdateCurve:
         ctx = UpdateContext(
             target=target,
             others=[target],
-            warps=[identity_warping()],
+            warps=[identity_warp()],
             sims=[1.0],
             n_js=[1],
             tau=1.0,
@@ -337,8 +336,8 @@ class TestUpdateCurve:
 
         real = updating._shrinkage_parts
 
-        def forced(ctx_, theta_, q_):
-            lam, lc5, lc6, g0, alpha_sum = real(ctx_, theta_, q_)
+        def forced(theta_, q_):
+            lam, lc5, lc6, g0, alpha_sum = real(theta_, q_)
             return 1e9, lc5, lc6, g0, alpha_sum
 
         monkeypatch.setattr(updating, "_shrinkage_parts", forced)
@@ -488,7 +487,7 @@ class TestBatchedQuantities:
         ctx = mixed_layout_context(rng, k=int(rng.integers(3, 8)))
         q = _Quantities(ctx)
         theta = rng.dirichlet(np.ones(len(ctx.others)))
-        lam, lc5, lc6, _, alpha_sum = _shrinkage_parts(ctx, theta, q)
+        lam, lc5, lc6, _, alpha_sum = _shrinkage_parts(theta, q)
         ref_lam, ref_lc5, ref_lc6, ref_alpha_sum = reference_shrinkage(ctx, theta)
         close(lam, ref_lam)
         close(lc6, ref_lc6)

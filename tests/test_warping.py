@@ -1,4 +1,5 @@
 import contextlib
+import json
 import os
 import signal
 import subprocess
@@ -28,7 +29,6 @@ from curveclust.splines import (
 )
 from curveclust.updating import update_all, weight_exponent
 from curveclust.warping import (
-    identity_warping,
     invert_warping,
     make_warping,
     n_raw_params,
@@ -38,7 +38,7 @@ from curveclust.warping import (
     roughness_penalty,
 )
 
-from .conftest import random_smooth_curve, sine_shape
+from .conftest import identity_warp, random_smooth_curve, sine_shape
 
 CHECK = np.linspace(0.0, 1.0, 257)
 
@@ -73,7 +73,7 @@ class TestMakeWarping:
 
 class TestInvertWarping:
     def test_identity_round_trip(self):
-        inv = invert_warping(identity_warping().forward)
+        inv = invert_warping(identity_warp().forward)
         assert np.abs(evaluate(inv, CHECK) - CHECK).max() <= 1e-6
 
     def test_square_warp_inverse_is_sqrt(self):
@@ -105,7 +105,7 @@ class TestForwardOnGrid:
         grid = make_grid(points)
         rng = np.random.default_rng(31)
         warps = [make_warping(rng.normal(0.0, 0.6, n_raw_params())) for _ in range(6)]
-        warps = warps[:3] + [w.swapped() for w in warps[3:]] + [identity_warping()]
+        warps = warps[:3] + [w.swapped() for w in warps[3:]] + [identity_warp()]
         psi, dpsi = warping.forward_on_grid(warps, grid)
         for j, warp in enumerate(warps):
             want = np.clip(warp.forward(grid.points), 0.0, 1.0)
@@ -118,12 +118,12 @@ class TestForwardOnGrid:
         knots = uniform_interior_knots(5)
         foreign = SplineRep(2, knots, np.linspace(0.0, 1.0, 8))
         with pytest.raises(InvalidInputError):
-            warping.forward_on_grid([identity_warping(), warping.Warping(foreign, foreign)], grid100)
+            warping.forward_on_grid([identity_warp(), warping.Warping(foreign, foreign)], grid100)
 
 
 class TestRoughnessPenalty:
     def test_identity_penalty_zero(self, grid500):
-        assert roughness_penalty(identity_warping(), grid500) == 0.0
+        assert roughness_penalty(identity_warp(), grid500) == 0.0
 
     def test_power_two_and_half_closed_form(self, grid500):
         # integral of (2.5 t^1.5 - 1)^2 dt = 2.5^2/4 - 1 = 0.5625
@@ -134,6 +134,22 @@ class TestRoughnessPenalty:
         # integral of (2t - 1)^2 dt = 1/3
         warp = make_warping(power_warp_raw(2.0))
         assert roughness_penalty(warp, grid500) == pytest.approx(1.0 / 3.0, rel=0.05)
+
+
+class TestWarpSamples:
+    def test_matches_inline_sampling_on_swapped_warp(self):
+        # the sampling pipeline._final_warps and `curveclust align` wrote inline
+        warp = make_warping(power_warp_raw(1.43)).swapped()
+        ts = np.linspace(0.0, 1.0, 101)
+        vals = np.clip(warp.forward(ts), 0.0, 1.0)
+        inline = [[float(t), float(v)] for t, v in zip(ts, vals)]
+        assert json.dumps(warping.warp_samples(warp)) == json.dumps(inline)
+
+    def test_no_warp_reads_the_identity(self):
+        ts = np.linspace(0.0, 1.0, 101)
+        assert json.dumps(warping.warp_samples(None)) == json.dumps(
+            [[float(t), float(t)] for t in ts]
+        )
 
 
 class TestOptimizeWarping:
@@ -160,7 +176,7 @@ class TestOptimizeWarping:
         f = refit_on_grid(0, grid200, sine_shape(grid200.points) + rng.normal(0, 0.3, 200))
         g = refit_on_grid(1, grid200, np.cos(2 * np.pi * grid200.points**2))
         for lambda0 in (0.0, 0.5, 2.0):
-            identity_value = rho_parts(f, g, identity_warping(), lambda0).rho
+            identity_value = rho_parts(f, g, identity_warp(), lambda0).rho
             assert optimize_warping(f, g, lambda0).rho >= identity_value - 1e-9
 
     def test_returned_value_matches_fixed_warp_evaluation(self, grid200):
@@ -175,7 +191,7 @@ class TestOptimizeWarping:
         g = refit_on_grid(1, grid200, sine_shape(grid200.points))
         monkeypatch.setattr(warping, "_BUDGET_PER_START", 50)
         rho = optimize_warping(f, g, 0.0).rho
-        assert rho >= rho_parts(f, g, identity_warping(), 0.0).rho - 1e-9
+        assert rho >= rho_parts(f, g, identity_warp(), 0.0).rho - 1e-9
 
 
 def _reference_coefficients_from_raw(raw, greville_steps):
@@ -389,6 +405,11 @@ class TestHelperProcesses:
         starts, warps = warping._start_points()
         again = warping._start_points()
         assert again[1] is warps and len(starts) == len(warps) == 5
+        # the five distinct power projections in order; exponent 1.0 is exact zeros
+        want = [power_warp_raw(alpha) for alpha in warping._POWER_STARTS]
+        assert [raw.tobytes() for raw in starts] == [raw.tobytes() for raw in want]
+        assert len({raw.tobytes() for raw in starts}) == 5
+        assert starts[2].tobytes() == np.zeros(n_raw_params()).tobytes()
         for raw, warp in zip(starts, warps):
             built = make_warping(raw)
             assert warp.forward.coefficients.tobytes() == built.forward.coefficients.tobytes()
@@ -524,7 +545,7 @@ class TestHelperProcesses:
         monkeypatch.setattr(os, "fork", no_fork)
         rng = np.random.default_rng(23)
         curves = [random_smooth_curve(i, grid100, rng) for i in range(8)]
-        identity = identity_warping()
+        identity = identity_warp()
         matrix = SimilarityMatrix(
             {
                 (f.id, g.id): rho_given_psi(f, g, identity, 0.5)
