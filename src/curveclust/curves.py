@@ -20,6 +20,12 @@ from .splines import (
     fit_least_squares,
 )
 
+# The largest sample magnitude a curve may have.  Squares and products of two
+# curves' samples overflow (the largest float is about 1.8e308) from about
+# 1e154, and every similarity would then read NaN; the bound leaves room for
+# centering and for the grid and warp weights.
+MAX_MAGNITUDE = 1e150
+
 
 @dataclass(eq=False)
 class Curve:
@@ -73,11 +79,17 @@ def smooth_curve(
     settings: SplineSettings = DEFAULT_SPLINES,
 ) -> Curve:
     """Ingest a raw observed curve: pre-smooth on its own time points, then
-    evaluate on the shared run grid.  Constant curves are rejected."""
+    evaluate on the shared run grid.  Constant curves are rejected, and so are
+    curves with values beyond MAX_MAGNITUDE."""
     data_points = np.asarray(data_points, dtype=float)
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise InvalidInputError(f"curve {curve_id} contains non-finite values")
+    if np.max(np.abs(values)) > MAX_MAGNITUDE:
+        raise InvalidInputError(
+            f"curve {curve_id} has values beyond {MAX_MAGNITUDE:g} in magnitude, "
+            "where products of samples overflow; rescale the data"
+        )
     spline = fit_shape_spline(data_points, values, settings)
     samples = evaluate(spline, grid.points)
     if centered_norm(samples, grid.weights) <= ZERO_NORM_TOL:

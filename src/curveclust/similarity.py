@@ -14,7 +14,7 @@ import numpy as np
 
 from .curves import Curve
 from .errors import InvalidInputError
-from .warping import SimilarityEntry, Warping, optimize_warping, rho_parts
+from .warping import SimilarityEntry, Warping, final_points, optimize_warping, rho_parts
 
 __all__ = [
     "SimilarityEntry",
@@ -95,17 +95,31 @@ class SimilarityMatrix:
 def similarity_matrix(
     curves, lambda0: float, cache: Optional[PairCache] = None
 ) -> SimilarityMatrix:
-    """Compute (or fetch from cache) entries for every unordered pair."""
+    """Fetch from `cache`, or compute, the entry of every unordered pair.
+
+    The pairs to compute are searched together (`final_points`: one set of
+    helper processes for the whole build), each pair of curve contents once
+    when there is a cache, and then rescored one by one in pair order.
+    """
     curves = sorted(curves, key=lambda c: c.id)
     if len(curves) < 2:
         raise InvalidInputError("need at least 2 curves for a similarity matrix")
+    pairs = [(f, g) for i, f in enumerate(curves) for g in curves[i + 1 :]]
+    todo, searched = [], set()
+    for f, g in pairs:
+        if cache is not None:
+            key = (f.content_key, g.content_key)
+            if key in searched or cache.get(f, g, lambda0) is not None:
+                continue  # read from the cache below
+            searched.update((key, key[::-1]))
+        todo.append((f, g))
+    finals = iter(final_points(todo, lambda0))
     entries = {}
-    for i, f in enumerate(curves):
-        for g in curves[i + 1 :]:
-            entry = cache.get(f, g, lambda0) if cache is not None else None
-            if entry is None:
-                entry = similarity(f, g, lambda0)
-                if cache is not None:
-                    cache.put(f, g, lambda0, entry)
-            entries[(f.id, g.id)] = entry
+    for f, g in pairs:
+        entry = cache.get(f, g, lambda0) if cache is not None else None
+        if entry is None:
+            entry = optimize_warping(f, g, lambda0, next(finals))
+            if cache is not None:
+                cache.put(f, g, lambda0, entry)
+        entries[(f.id, g.id)] = entry
     return SimilarityMatrix(entries, [c.id for c in curves])

@@ -36,6 +36,7 @@ from .splines import (
     derivative,
     evaluate,
     knot_vector,
+    spline_evaluator,
     uniform_interior_knots,
 )
 
@@ -329,7 +330,7 @@ def _proxy_objective(f: Curve, g: Curve, lambda0: float, ws: _WarpWorkspace):
     fs = f.samples
     f_centered = fs - w @ fs
     f_norm = np.sqrt(w @ (f_centered * f_centered))
-    g_bspline = g.spline._bspline
+    g_values = spline_evaluator(g.spline)
     basis, deriv, steps = ws.basis, ws.deriv, _GREVILLE_STEPS
     min_denom = ZERO_NORM_TOL**2
     # ndarray.min without its Python wrapper; np.dot takes the same BLAS path
@@ -346,7 +347,7 @@ def _proxy_objective(f: Curve, g: Curve, lambda0: float, ws: _WarpWorkspace):
         if not amin(dpsi) > 1e-9:
             return 2.0  # NaN, or numerically flat somewhere; 1/dpsi would blow up
         np.clip(psi, 0.0, 1.0, out=psi)
-        g_warped = g_bspline(psi)
+        g_warped = g_values(psi)
         np.subtract(g_warped, dot(w, g_warped), out=gc)
         np.multiply(gc, gc, out=tmp)
         g_norm = math.sqrt(dot(w, tmp))
@@ -427,14 +428,30 @@ def _spare_cpus() -> int:
     return len(os.sched_getaffinity(0)) - 1
 
 
-def _run_starts(f, g, lambda0, ws, starts) -> list:
-    """The Nelder-Mead final point of each of `starts`."""
-    objective = _proxy_objective(f, g, lambda0, ws)
-    return [_budgeted_nelder_mead(objective, raw) for raw in starts]
+def _check_pairs(pairs, lambda0: float) -> None:
+    """Reject a bad penalty weight, or a constant curve in any (f, g) pair."""
+    check_lambda0(lambda0)
+    for f, g in pairs:
+        if centered_norm(f.samples, f.grid.weights) <= ZERO_NORM_TOL or (
+            centered_norm(g.samples, g.grid.weights) <= ZERO_NORM_TOL
+        ):
+            raise ZeroVarianceError("similarity is undefined for constant curves")
 
 
-def _fork_helper(f, g, lambda0, ws, starts) -> tuple:
-    """Fork a process that runs `starts`, writes the bytes of their final
+def _run_units(pairs, lambda0, units) -> list:
+    """The Nelder-Mead final point of each (pair index, start index) unit."""
+    starts, _ = _start_points()
+    finals, objective, current = [], None, None
+    for p, s in units:
+        if p != current:  # units come pair-major: one objective per run of a pair
+            f, g = pairs[p]
+            objective, current = _proxy_objective(f, g, lambda0, _workspace(f.grid)), p
+        finals.append(_budgeted_nelder_mead(objective, starts[s]))
+    return finals
+
+
+def _fork_helper(pairs, lambda0, units) -> tuple:
+    """Fork a process that runs `units`, writes the bytes of their final
     points to a pipe and exits; returns its pid and the pipe's read end."""
     read_end, write_end = os.pipe()
     try:
@@ -448,7 +465,7 @@ def _fork_helper(f, g, lambda0, ws, starts) -> tuple:
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)  # interrupts are the caller's
             with open(write_end, "wb") as pipe:
-                pipe.write(np.array(_run_starts(f, g, lambda0, ws, starts)).tobytes())
+                pipe.write(np.array(_run_units(pairs, lambda0, units)).tobytes())
             code = 0
         finally:
             os._exit(code)  # never back into the caller's code
@@ -456,65 +473,75 @@ def _fork_helper(f, g, lambda0, ws, starts) -> tuple:
     return pid, open(read_end, "rb")
 
 
-def _final_points(f, g, lambda0, ws, starts) -> list:
-    """The Nelder-Mead final point of each start, in start order.
+def final_points(pairs, lambda0: float) -> list:
+    """The Nelder-Mead final point of each start of each (f, g) pair: one list
+    per pair, in start order.
 
-    With k helpers (one per spare CPU, at most one per start after the
-    first) the starts are dealt round-robin: the caller runs positions
-    0, k + 1, 2k + 2, ... and helper share i runs positions i, i + k + 1, ....
-    Each helper is forked for this search and exits at its end.  A start runs
-    the same code on the same inputs wherever it runs, so the final points do
-    not depend on k.  A helper whose pipe ends short has died, and its share
-    runs in the caller; if the caller raises, the helpers still running are
-    killed and reaped.
+    Every pair is checked before any search starts.  The (pair, start) units
+    are flattened pair-major and, with k helpers (one per spare CPU, at most
+    one per unit after the first), dealt round-robin: the caller runs
+    positions 0, k + 1, 2k + 2, ... and helper share i runs positions i,
+    i + k + 1, ....  Each helper is forked once for this call and exits at its
+    end.  A unit runs the same code on the same inputs wherever it runs, so
+    the final points do not depend on k.  A helper whose pipe ends short has
+    died, and its share runs in the caller; if the caller raises, the helpers
+    still running are killed and reaped.
     """
-    share = min(_spare_cpus(), len(starts) - 1) + 1
+    _check_pairs(pairs, lambda0)
+    n_starts = len(_POWER_STARTS)
+    units = [(p, s) for p in range(len(pairs)) for s in range(n_starts)]
+    if not units:
+        return []
+    share = min(_spare_cpus(), len(units) - 1) + 1
     helpers = []  # (pid, pipe) of each helper not yet reaped, in share order
     try:
         for i in range(1, share):
-            helpers.append(_fork_helper(f, g, lambda0, ws, starts[i::share]))
-        finals = [None] * len(starts)
-        finals[::share] = _run_starts(f, g, lambda0, ws, starts[::share])
+            helpers.append(_fork_helper(pairs, lambda0, units[i::share]))
+        finals = [None] * len(units)
+        finals[::share] = _run_units(pairs, lambda0, units[::share])
         for i in range(1, share):
             pid, pipe = helpers[0]
             data = pipe.read()
             pipe.close()
             os.waitpid(pid, 0)
             del helpers[0]
-            mine = starts[i::share]
+            mine = units[i::share]
             n_raw = n_raw_params()
             if len(data) == 8 * n_raw * len(mine):
                 finals[i::share] = list(np.frombuffer(data).reshape(len(mine), n_raw))
             else:  # the helper died
-                finals[i::share] = _run_starts(f, g, lambda0, ws, mine)
+                finals[i::share] = _run_units(pairs, lambda0, mine)
     finally:
         for pid, pipe in helpers:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return finals
+    return [finals[p : p + n_starts] for p in range(0, len(units), n_starts)]
 
 
-def optimize_warping(f: Curve, g: Curve, lambda0: float) -> SimilarityEntry:
+def optimize_warping(
+    f: Curve, g: Curve, lambda0: float, finals: list | None = None
+) -> SimilarityEntry:
     """Maximize the penalized similarity of f and g over the warp family.
 
     Nelder-Mead multi-start from fixed power-warp projections, the identity
-    among them, shared with helper processes on spare CPUs (`_final_points`).
-    All start and final points are re-scored exactly (inverse spline included);
-    the best exact value wins, so the result never falls below the identity
-    alignment and matches rho_parts at the returned warp to machine precision.
+    among them.  `finals` are the search's final points for this pair, in
+    start order, when the caller searched several pairs at once
+    (`final_points`); without them this pair is searched alone, its starts
+    shared with helper processes on spare CPUs.  All start and final points
+    are re-scored exactly (inverse spline included); the best exact value
+    wins, so the result never falls below the identity alignment and matches
+    rho_parts at the returned warp to machine precision.
     """
-    check_lambda0(lambda0)
-    if centered_norm(f.samples, f.grid.weights) <= ZERO_NORM_TOL or (
-        centered_norm(g.samples, g.grid.weights) <= ZERO_NORM_TOL
-    ):
-        raise ZeroVarianceError("similarity is undefined for constant curves")
-    ws = _workspace(f.grid)
+    if finals is None:
+        (finals,) = final_points([(f, g)], lambda0)
+    else:
+        _check_pairs([(f, g)], lambda0)
     starts, start_warps = _start_points()
 
     seen = {raw.tobytes() for raw in starts}
     candidates = list(zip(starts, start_warps))
-    for final in _final_points(f, g, lambda0, ws, starts):
+    for final in finals:
         if final.tobytes() not in seen:
             seen.add(final.tobytes())
             candidates.append((final, None))

@@ -313,6 +313,34 @@ class TestExitCodes:
         assert errors == ["error: lambda0 must be finite and nonnegative"]
         assert not (tmp_path / "out.json").exists() and not (tmp_path / "align.json").exists()
 
+    @pytest.mark.parametrize("command", ["cluster", "align", "indexes"])
+    def test_overflowing_curves_invalid_input(self, tmp_path, capsys, command):
+        # finite samples near 1e200, whose squares overflow: every similarity
+        # would read NaN
+        curves = tmp_path / "curves.csv"
+        code = main(
+            [
+                "simulate", "--scenario", "s31", "--sizes", "2,2,2", "--sigma", "1e200",
+                "--points", "40", "--out", str(curves), "--labels", str(tmp_path / "labels.csv"),
+            ]
+        )
+        assert code == 0
+        partition = tmp_path / "partition.json"
+        partition.write_text(json.dumps([["0", "1", "2"], ["3", "4", "5"]]))
+        rest = {
+            "cluster": ["--output", str(tmp_path / "out.json")],
+            "align": ["--pair", "0,1", "--out", str(tmp_path / "align.json")],
+            "indexes": ["--partition", str(partition)],
+        }[command]
+        capsys.readouterr()
+        code = main([command, "--input", str(curves), "--lambda0", "0.5", "--grid", "60", *rest])
+        assert code == 2
+        captured = capsys.readouterr()
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: curve 0 ")
+        assert captured.out == ""
+        assert not (tmp_path / "out.json").exists() and not (tmp_path / "align.json").exists()
+
     @pytest.mark.parametrize(
         "partition",
         [

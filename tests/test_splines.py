@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
+from curveclust import splines
 from curveclust.errors import (
     InvalidInputError,
     InvalidKnotsError,
@@ -18,9 +19,11 @@ from curveclust.splines import (
     fit_least_squares,
     make_grid,
     n_basis,
+    spline_evaluator,
     uniform_grid,
     uniform_interior_knots,
 )
+from curveclust.warping import make_warping, n_raw_params
 
 
 class TestBasisMatrix:
@@ -160,6 +163,43 @@ class TestUncheckedConstruction:
             assert spline(x).tobytes() == checked(x).tobytes()
             der = derivative(spline)
             assert der(x).tobytes() == checked.derivative(1)(x).tobytes()
+
+
+class TestSplineEvaluator:
+    """The compiled evaluator gives `BSpline.__call__`'s bytes and shape."""
+
+    @staticmethod
+    def _splines():
+        rng = np.random.default_rng(31)
+        x = np.linspace(0.0, 1.0, 80)
+        shape = fit_least_squares(
+            x, np.sin(5 * x) + rng.normal(0, 0.1, x.size), np.ones_like(x), 3,
+            uniform_interior_knots(16),
+        )
+        warp = make_warping(rng.normal(0.0, 0.5, n_raw_params()))
+        return [shape, warp.forward, warp.inverse, derivative(warp.forward)]
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "fallback"])
+    def test_byte_equal_to_bspline_call(self, compiled, monkeypatch):
+        if not compiled:
+            monkeypatch.setattr(splines, "_compiled_spline_values", None)
+        rng = np.random.default_rng(32)
+        points = [
+            np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 98)]),  # 1-D
+            np.array([[0.0, 0.25, 1.0], [1.0, 0.5, 0.0]]),  # 2-D
+            rng.uniform(0.0, 1.0, (7, 4)),
+            np.float64(1.0),  # 0-d
+        ]
+        for spline in self._splines():
+            values = spline_evaluator(spline)
+            for x in points:
+                want = spline._bspline(x)
+                got = values(x)
+                assert got.shape == want.shape == np.shape(x)
+                assert got.tobytes() == want.tobytes()
+                assert spline(x).tobytes() == want.tobytes()
+            ends = values(np.array([0.0, 1.0]))
+            assert ends[0] == spline.coefficients[0] and ends[1] == spline.coefficients[-1]
 
 
 class TestDerivative:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import os
 import signal
@@ -16,10 +17,21 @@ import curveclust
 from curveclust import warping
 from curveclust.combining import assign_groups, candidate_partition, combine_group
 from curveclust.curves import refit_on_grid
-from curveclust.errors import InvalidInputError, InvalidParameterError, MonotonicityError
+from curveclust.errors import (
+    InvalidInputError,
+    InvalidParameterError,
+    MonotonicityError,
+    ZeroVarianceError,
+)
 from curveclust.indices import distances_from_similarity, silhouette
 from curveclust.products import ZERO_NORM_TOL
-from curveclust.similarity import SimilarityMatrix, rho_given_psi, similarity
+from curveclust.similarity import (
+    PairCache,
+    SimilarityMatrix,
+    rho_given_psi,
+    similarity,
+    similarity_matrix,
+)
 from curveclust.splines import (
     SplineRep,
     derivative,
@@ -390,16 +402,20 @@ class TestHelperProcesses:
         assert results[0] == results[1] == results[2]
 
     def test_final_points_come_back_in_start_order(self, pairs, spare_cpus):
-        f, g, lambda0 = pairs[0]
-        ws = warping._workspace(f.grid)
+        # two pairs of one grid, both searched at the first pair's lambda0, so
+        # units of both pairs share a helper
+        (f0, g0, lambda0), (f1, g1, _) = pairs[:2]
         starts, _ = warping._start_points()
-        objective = warping._proxy_objective(f, g, lambda0, ws)
-        serial = [warping._budgeted_nelder_mead(objective, raw).tobytes() for raw in starts]
-        assert len(set(serial)) == len(starts)
+        serial = []
+        for f, g in ((f0, g0), (f1, g1)):
+            objective = warping._proxy_objective(f, g, lambda0, warping._workspace(f.grid))
+            finals = [warping._budgeted_nelder_mead(objective, raw) for raw in starts]
+            serial.append([x.tobytes() for x in finals])
+            assert len(set(serial[-1])) == len(starts)
         for count in (1, 2, 4):
             spare_cpus(count)
-            finals = warping._final_points(f, g, lambda0, ws, starts)
-            assert [x.tobytes() for x in finals] == serial
+            finals = warping.final_points([(f0, g0), (f1, g1)], lambda0)
+            assert [[x.tobytes() for x in pair] for pair in finals] == serial
 
     def test_start_warps_are_shared_and_read_only(self):
         starts, warps = warping._start_points()
@@ -568,3 +584,111 @@ class TestHelperProcesses:
             combine_group(group, bank, matrix)
         update_all(curves, matrix, 0.5, weight_exponent(sims))
         assert partial.groups
+
+
+def _matrix_bytes(matrix, curves):
+    """rho and warp coefficient bytes of every ordered pair of a matrix."""
+    return [
+        (
+            matrix.rho(f.id, g.id),
+            matrix.warp(f.id, g.id).forward.coefficients.tobytes(),
+            matrix.warp(f.id, g.id).inverse.coefficients.tobytes(),
+        )
+        for f in curves
+        for g in curves
+        if f is not g
+    ]
+
+
+class TestBuildHelpers:
+    """A similarity-matrix build deals the (pair, start) units of all its
+    pairs over one set of helpers and gives the serial search's bytes."""
+
+    @pytest.fixture()
+    def curves(self, grid100):
+        rng = np.random.default_rng(24)
+        return [random_smooth_curve(i, grid100, rng) for i in range(3)]
+
+    def test_same_bytes_with_zero_one_and_two_helpers(self, curves, spare_cpus, forks):
+        results = []
+        for count in (0, 1, 2):
+            spare_cpus(count)
+            before = len(forks)
+            results.append(_matrix_bytes(similarity_matrix(curves, 0.5), curves))
+            assert len(forks) - before == count  # `count` helpers for the build's 3 pairs
+        assert results[0] == results[1] == results[2]
+        # and each pair's bytes are those of its search alone
+        spare_cpus(0)
+        alone = SimilarityMatrix(
+            {
+                (f.id, g.id): similarity(f, g, 0.5)
+                for i, f in enumerate(curves)
+                for g in curves[i + 1 :]
+            },
+            [c.id for c in curves],
+        )
+        assert results[0] == _matrix_bytes(alone, curves)
+
+    def test_cached_build_forks_nothing(self, curves, spare_cpus, forks):
+        cache = PairCache()
+        spare_cpus(2)
+        first = similarity_matrix(curves, 0.5, cache=cache)
+        assert len(forks) == 2
+        again = similarity_matrix(curves[::-1], 0.5, cache=cache)
+        assert len(forks) == 2
+        assert _matrix_bytes(again, curves) == _matrix_bytes(first, curves)
+
+    def test_equal_contents_searched_once(self, curves, spare_cpus, monkeypatch):
+        twin = dataclasses.replace(curves[0], id=3)
+        assert twin.content_key == curves[0].content_key
+        search, searched = warping._budgeted_nelder_mead, []
+
+        def counted(objective, x0):
+            searched.append(x0)
+            return search(objective, x0)
+
+        monkeypatch.setattr(warping, "_budgeted_nelder_mead", counted)
+        spare_cpus(0)
+        matrix = similarity_matrix([*curves, twin], 0.5, cache=PairCache())
+        # of the 6 pairs, (1, 3) and (2, 3) repeat the contents of (1, 0) and
+        # (2, 0): 4 pairs of 5 starts are searched
+        assert len(searched) == 4 * len(warping._POWER_STARTS)
+        for other in (1, 2):
+            assert matrix.rho(other, 3) == matrix.rho(other, 0)
+            assert (
+                matrix.warp(other, 3).forward.coefficients.tobytes()
+                == matrix.warp(other, 0).forward.coefficients.tobytes()
+            )
+
+    def test_helper_dying_mid_build_leaves_its_units_to_the_caller(
+        self, curves, spare_cpus, monkeypatch
+    ):
+        spare_cpus(0)
+        serial = _matrix_bytes(similarity_matrix(curves, 0.5), curves)
+        monkeypatch.setattr(warping, "_budgeted_nelder_mead", _search_that(helper_dies=True))
+        spare_cpus(2)
+        with _time_limit(60):
+            assert _matrix_bytes(similarity_matrix(curves, 0.5), curves) == serial
+
+    def test_no_child_outlives_a_build(self, curves, spare_cpus, monkeypatch):
+        fails, dies = _search_that(caller_raises=True), _search_that(helper_dies=True)
+        spare_cpus(2)
+        with _time_limit(60):
+            similarity_matrix(curves, 0.5)
+            _assert_no_child()
+            monkeypatch.setattr(warping, "_budgeted_nelder_mead", fails)
+            with pytest.raises(RuntimeError):
+                similarity_matrix(curves, 0.5)
+            _assert_no_child()
+            monkeypatch.setattr(warping, "_budgeted_nelder_mead", dies)
+            similarity_matrix(curves, 0.5)
+            _assert_no_child()
+
+    def test_every_pair_is_checked_before_any_fork(self, curves, spare_cpus, forks):
+        flat = refit_on_grid(3, curves[0].grid, np.ones(len(curves[0].grid)))
+        spare_cpus(2)
+        with pytest.raises(ZeroVarianceError):
+            similarity_matrix([*curves, flat], 0.5)
+        with pytest.raises(InvalidParameterError):
+            similarity_matrix(curves, float("nan"))
+        assert forks == []
