@@ -13,12 +13,14 @@ from .errors import DegenerateDataError, InvalidInputError
 from .indices import DUNN_INTER, DUNN_INTRA, distances_from_similarity, dunn, silhouette
 from .indices import adjusted_rand
 from .io import (
+    check_output_path,
     read_curves_csv,
     read_labels_csv,
     read_partition_json,
     result_json,
     write_curves_csv,
     write_labels_csv,
+    write_text,
 )
 from .pipeline import RunConfig, prepare_curves, run
 from .similarity import similarity, similarity_matrix
@@ -89,6 +91,7 @@ def _load_curves(path, config: RunConfig):
 
 
 def _cmd_cluster(args) -> int:
+    check_output_path(args.output)
     config = RunConfig(
         lambda0=args.lambda0,
         quantile_a=args.quantile_a,
@@ -100,12 +103,13 @@ def _cmd_cluster(args) -> int:
     )
     names, curves = _load_curves(args.input, config)
     result = run(curves, config)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(result_json(result, names))
+    write_text(args.output, result_json(result, names))
     return 0
 
 
 def _cmd_simulate(args) -> int:
+    check_output_path(args.out)
+    check_output_path(args.labels)
     sizes = None
     if args.sizes is not None:
         try:
@@ -134,6 +138,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_align(args) -> int:
+    check_output_path(args.out)
     parts = args.pair.split(",")
     if len(parts) != 2:
         raise InvalidInputError("--pair needs exactly two ids, e.g. 3,7")
@@ -154,8 +159,7 @@ def _cmd_align(args) -> int:
         "penalty_inv": entry.penalty_inv,
         "warp": warp_samples(entry.warp),
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    write_text(args.out, json.dumps(data, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -7,9 +7,11 @@ pipeline works on dense integer indexes in file order.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -17,8 +19,34 @@ import numpy as np
 from .errors import InvalidInputError
 
 
+def check_output_path(path) -> None:
+    """Reject an output path that cannot be written, so that a command fails
+    before its work: the path's folder must exist and be writable, and the
+    path must not be a folder."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise InvalidInputError(f"output path is a folder: {path}")
+    if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise InvalidInputError(f"cannot write output file {path}: no writable folder")
+
+
+@contextlib.contextmanager
+def _output(path, newline=None):
+    """The file at `path`, opened for writing; a failed write is invalid input."""
+    try:
+        with open(path, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write output file: {exc}") from exc
+
+
+def write_text(path, text: str):
+    with _output(path) as fh:
+        fh.write(text)
+
+
 def write_curves_csv(path, ids, points, samples):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id"] + [repr(float(t)) for t in points])
         for curve_id, row in zip(ids, samples):
@@ -58,7 +86,7 @@ def read_curves_csv(path) -> Tuple[List[str], np.ndarray, np.ndarray]:
 
 
 def write_labels_csv(path, ids, labels: Dict):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "label"])
         for curve_id in ids:

@@ -95,31 +95,25 @@ class SimilarityMatrix:
 def similarity_matrix(
     curves, lambda0: float, cache: Optional[PairCache] = None
 ) -> SimilarityMatrix:
-    """Fetch from `cache`, or compute, the entry of every unordered pair.
+    """Fetch from `cache` (a fresh one when none is given), or compute and
+    store there, the entry of every unordered pair.
 
-    The pairs to compute are searched together (`final_points`: one set of
-    helper processes for the whole build), each pair of curve contents once
-    when there is a cache, and then rescored one by one in pair order.
+    The uncached pairs, each pair of curve contents once in either order, go
+    through one search (`final_points`: one set of helper processes for the
+    whole build) and are then rescored one by one in pair order.
     """
+    cache = PairCache() if cache is None else cache
     curves = sorted(curves, key=lambda c: c.id)
     if len(curves) < 2:
         raise InvalidInputError("need at least 2 curves for a similarity matrix")
     pairs = [(f, g) for i, f in enumerate(curves) for g in curves[i + 1 :]]
-    todo, searched = [], set()
+    uncached = {}  # one pair per pair of curve contents
     for f, g in pairs:
-        if cache is not None:
-            key = (f.content_key, g.content_key)
-            if key in searched or cache.get(f, g, lambda0) is not None:
-                continue  # read from the cache below
-            searched.update((key, key[::-1]))
-        todo.append((f, g))
-    finals = iter(final_points(todo, lambda0))
-    entries = {}
-    for f, g in pairs:
-        entry = cache.get(f, g, lambda0) if cache is not None else None
-        if entry is None:
-            entry = optimize_warping(f, g, lambda0, next(finals))
-            if cache is not None:
-                cache.put(f, g, lambda0, entry)
-        entries[(f.id, g.id)] = entry
+        key = (f.content_key, g.content_key)
+        if key[::-1] not in uncached and cache.get(f, g, lambda0) is None:
+            uncached.setdefault(key, (f, g))
+    todo = list(uncached.values())
+    for (f, g), finals in zip(todo, final_points(todo, lambda0)):
+        cache.put(f, g, lambda0, optimize_warping(f, g, lambda0, finals))
+    entries = {(f.id, g.id): cache.get(f, g, lambda0) for f, g in pairs}
     return SimilarityMatrix(entries, [c.id for c in curves])

@@ -76,10 +76,14 @@ def trapezoid_weights(points: np.ndarray) -> np.ndarray:
 
 def check_time_points(points) -> np.ndarray:
     """The points as a float array, once they are checked to span [0, 1]:
-    1-D, at least 4 of them, strictly increasing, ends within 1e-9 of 0 and 1."""
+    1-D, at least 4 of them, finite, strictly increasing, ends within 1e-9 of
+    0 and 1."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or len(pts) < 4:
         raise InvalidInputError("need at least 4 time points")
+    # NaN fails every comparison below, so it would pass them
+    if not np.all(np.isfinite(pts)):
+        raise InvalidInputError("time points must be finite")
     if np.any(np.diff(pts) <= 0):
         raise InvalidInputError("time points must be strictly increasing")
     if abs(pts[0]) > _EDGE_TOL or abs(pts[-1] - 1.0) > _EDGE_TOL:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import os
 import signal
 from dataclasses import dataclass
@@ -346,7 +347,8 @@ def _proxy_objective(f: Curve, g: Curve, lambda0: float, ws: _WarpWorkspace):
         np.matmul(deriv, coef, out=dpsi)
         if not amin(dpsi) > 1e-9:
             return 2.0  # NaN, or numerically flat somewhere; 1/dpsi would blow up
-        np.clip(psi, 0.0, 1.0, out=psi)
+        # np.clip's bytes at half its cost: psi, a nonnegative sum, has no -0.0 or NaN
+        np.minimum(np.maximum(psi, 0.0, out=psi), 1.0, out=psi)
         g_warped = g_values(psi)
         np.subtract(g_warped, dot(w, g_warped), out=gc)
         np.multiply(gc, gc, out=tmp)
@@ -438,100 +440,87 @@ def _check_pairs(pairs, lambda0: float) -> None:
             raise ZeroVarianceError("similarity is undefined for constant curves")
 
 
-def _run_units(pairs, lambda0, units) -> list:
-    """The Nelder-Mead final point of each (pair index, start index) unit."""
+def _run_units(pairs, lambda0, units, out) -> None:
+    """Write the Nelder-Mead final point of each (pair index, start index)
+    unit into the matching row of `out`."""
     starts, _ = _start_points()
-    finals, objective, current = [], None, None
-    for p, s in units:
+    objective, current = None, None
+    for row, (p, s) in zip(out, units):
         if p != current:  # units come pair-major: one objective per run of a pair
             f, g = pairs[p]
             objective, current = _proxy_objective(f, g, lambda0, _workspace(f.grid)), p
-        finals.append(_budgeted_nelder_mead(objective, starts[s]))
-    return finals
+        row[:] = _budgeted_nelder_mead(objective, starts[s])
 
 
-def _fork_helper(pairs, lambda0, units) -> tuple:
-    """Fork a process that runs `units`, writes the bytes of their final
-    points to a pipe and exits; returns its pid and the pipe's read end."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
+def _fork_helper(pairs, lambda0, units, out) -> int:
+    """Fork a process that writes the final points of `units` into `out`, rows
+    of a shared mapping, and exits with status 0; returns its pid."""
+    pid = os.fork()
     if pid == 0:
         code = 1
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)  # interrupts are the caller's
-            with open(write_end, "wb") as pipe:
-                pipe.write(np.array(_run_units(pairs, lambda0, units)).tobytes())
+            _run_units(pairs, lambda0, units, out)
             code = 0
         finally:
             os._exit(code)  # never back into the caller's code
-    os.close(write_end)
-    return pid, open(read_end, "rb")
+    return pid
 
 
-def final_points(pairs, lambda0: float) -> list:
-    """The Nelder-Mead final point of each start of each (f, g) pair: one list
-    per pair, in start order.
+def final_points(pairs, lambda0: float) -> np.ndarray:
+    """The Nelder-Mead final point of each start of each (f, g) pair, as an
+    array of shape (pairs, starts, raw parameters) in pair and start order.
 
     Every pair is checked before any search starts.  The (pair, start) units
     are flattened pair-major and, with k helpers (one per spare CPU, at most
     one per unit after the first), dealt round-robin: the caller runs
     positions 0, k + 1, 2k + 2, ... and helper share i runs positions i,
-    i + k + 1, ....  Each helper is forked once for this call and exits at its
-    end.  A unit runs the same code on the same inputs wherever it runs, so
-    the final points do not depend on k.  A helper whose pipe ends short has
-    died, and its share runs in the caller; if the caller raises, the helpers
-    still running are killed and reaped.
+    i + k + 1, ....  Each unit's final point is one row of a buffer that the
+    caller and its helpers share; each helper is forked once for this call,
+    writes its rows and exits.  A unit runs the same code on the same inputs
+    wherever it runs, so the final points do not depend on k.  A helper whose
+    exit status is not 0 has died, and its share runs again in the caller; if
+    the caller raises, the helpers still running are killed and reaped.
     """
     _check_pairs(pairs, lambda0)
-    n_starts = len(_POWER_STARTS)
+    n_starts, n_raw = len(_POWER_STARTS), n_raw_params()
     units = [(p, s) for p in range(len(pairs)) for s in range(n_starts)]
     if not units:
-        return []
+        return np.empty((0, n_starts, n_raw))
     share = min(_spare_cpus(), len(units) - 1) + 1
-    helpers = []  # (pid, pipe) of each helper not yet reaped, in share order
+    # an anonymous mapping is shared with forked children, unlike the heap
+    buffer = mmap.mmap(-1, 8 * n_raw * len(units))
+    finals = np.frombuffer(buffer).reshape(len(units), n_raw)
+    helpers = []  # pid of each helper not yet reaped, in share order
     try:
         for i in range(1, share):
-            helpers.append(_fork_helper(pairs, lambda0, units[i::share]))
-        finals = [None] * len(units)
-        finals[::share] = _run_units(pairs, lambda0, units[::share])
+            helpers.append(_fork_helper(pairs, lambda0, units[i::share], finals[i::share]))
+        _run_units(pairs, lambda0, units[::share], finals[::share])
         for i in range(1, share):
-            pid, pipe = helpers[0]
-            data = pipe.read()
-            pipe.close()
-            os.waitpid(pid, 0)
+            _, status = os.waitpid(helpers[0], 0)
             del helpers[0]
-            mine = units[i::share]
-            n_raw = n_raw_params()
-            if len(data) == 8 * n_raw * len(mine):
-                finals[i::share] = list(np.frombuffer(data).reshape(len(mine), n_raw))
-            else:  # the helper died
-                finals[i::share] = _run_units(pairs, lambda0, mine)
+            if status != 0:  # the helper died, perhaps before writing its rows
+                _run_units(pairs, lambda0, units[i::share], finals[i::share])
     finally:
-        for pid, pipe in helpers:
-            pipe.close()
+        for pid in helpers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return [finals[p : p + n_starts] for p in range(0, len(units), n_starts)]
+    return finals.reshape(len(pairs), n_starts, n_raw)
 
 
 def optimize_warping(
-    f: Curve, g: Curve, lambda0: float, finals: list | None = None
+    f: Curve, g: Curve, lambda0: float, finals: np.ndarray | None = None
 ) -> SimilarityEntry:
     """Maximize the penalized similarity of f and g over the warp family.
 
     Nelder-Mead multi-start from fixed power-warp projections, the identity
     among them.  `finals` are the search's final points for this pair, in
-    start order, when the caller searched several pairs at once
-    (`final_points`); without them this pair is searched alone, its starts
-    shared with helper processes on spare CPUs.  All start and final points
-    are re-scored exactly (inverse spline included); the best exact value
-    wins, so the result never falls below the identity alignment and matches
-    rho_parts at the returned warp to machine precision.
+    start order, when the caller ran the searches of several pairs at once
+    (`final_points`); without them this pair is a build of one pair, its
+    starts shared with helper processes on spare CPUs.  All start and final
+    points are re-scored exactly (inverse spline included); the best exact
+    value wins, so the result never falls below the identity alignment and
+    matches rho_parts at the returned warp to machine precision.
     """
     if finals is None:
         (finals,) = final_points([(f, g)], lambda0)

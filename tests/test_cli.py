@@ -5,11 +5,14 @@ import pytest
 
 from curveclust import warping
 from curveclust.cli import main
+from curveclust.errors import InvalidInputError
 from curveclust.io import (
     read_curves_csv,
     read_labels_csv,
     read_partition_json,
     write_curves_csv,
+    write_labels_csv,
+    write_text,
 )
 from curveclust.pipeline import RunConfig, prepare_curves
 from curveclust.similarity import similarity
@@ -340,6 +343,63 @@ class TestExitCodes:
         assert len(errors) == 1 and errors[0].startswith("error: curve 0 ")
         assert captured.out == ""
         assert not (tmp_path / "out.json").exists() and not (tmp_path / "align.json").exists()
+
+    @pytest.mark.parametrize("command", ["cluster", "align", "indexes"])
+    def test_nan_time_point_invalid_input(self, tmp_path, capsys, command):
+        points = np.linspace(0.0, 1.0, 40)
+        rows = [np.sin(3 * points + i) for i in range(4)]
+        points[20] = np.nan  # NaN compares false, so order and end checks let it pass
+        curves = tmp_path / "curves.csv"
+        write_curves_csv(curves, ["0", "1", "2", "3"], points, rows)
+        partition = tmp_path / "partition.json"
+        partition.write_text(json.dumps([["0", "1"], ["2", "3"]]))
+        rest = {
+            "cluster": ["--output", str(tmp_path / "out.json")],
+            "align": ["--pair", "0,1", "--out", str(tmp_path / "align.json")],
+            "indexes": ["--partition", str(partition)],
+        }[command]
+        code = main([command, "--input", str(curves), "--lambda0", "0.5", "--grid", "60", *rest])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: time points must be finite"]
+        assert captured.out == ""
+        assert not (tmp_path / "out.json").exists() and not (tmp_path / "align.json").exists()
+
+    @pytest.mark.parametrize("where", ["missing folder", "folder"])
+    @pytest.mark.parametrize("command", ["cluster", "align", "simulate --out", "simulate --labels"])
+    def test_unwritable_output_invalid_input(
+        self, small_dataset, tmp_path, capsys, monkeypatch, command, where
+    ):
+        def no_search(objective, x0):
+            raise AssertionError("a pair search ran")
+
+        monkeypatch.setattr(warping, "_budgeted_nelder_mead", no_search)
+        curves, _ = small_dataset
+        bad = str(tmp_path / "missing" / "out") if where == "missing folder" else str(tmp_path)
+        good = str(tmp_path / "good.csv")
+        simulate = ["simulate", "--scenario", "s31", "--sizes", "2,2,2"]
+        pair = ["--input", str(curves), "--lambda0", "0.5", "--grid", "60"]
+        args = {
+            "cluster": ["cluster", *pair, "--output", bad],
+            "align": ["align", *pair, "--pair", "0,1", "--out", bad],
+            "simulate --out": [*simulate, "--out", bad, "--labels", good],
+            "simulate --labels": [*simulate, "--out", good, "--labels", bad],
+        }[command]
+        capsys.readouterr()
+        code = main(args)
+        assert code == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert not (tmp_path / "good.csv").exists() and not (tmp_path / "missing").exists()
+
+    def test_failed_write_invalid_input(self, tmp_path):
+        path = tmp_path / "missing" / "out"
+        with pytest.raises(InvalidInputError):
+            write_text(path, "{}\n")
+        with pytest.raises(InvalidInputError):
+            write_curves_csv(path, ["0"], [0.0, 1.0], [[1.0, 2.0]])
+        with pytest.raises(InvalidInputError):
+            write_labels_csv(path, ["0"], {"0": "a"})
 
     @pytest.mark.parametrize(
         "partition",

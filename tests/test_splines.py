@@ -14,6 +14,7 @@ from curveclust.errors import (
 from curveclust.splines import (
     SplineRep,
     basis_matrix,
+    check_time_points,
     derivative,
     evaluate,
     fit_least_squares,
@@ -240,6 +241,13 @@ class TestGrid:
             make_grid([0.0, 0.5, 0.4, 1.0])
         with pytest.raises(InvalidInputError):
             make_grid([0.1, 0.4, 0.7, 1.0])
+
+    @pytest.mark.parametrize("where", [0, 2, -1])
+    def test_nan_time_point_rejected(self, where):
+        points = np.linspace(0.0, 1.0, 6)
+        points[where] = np.nan
+        with pytest.raises(InvalidInputError, match="finite"):
+            check_time_points(points)
 
     def test_trapezoid_weights_sum_to_one(self):
         grid = uniform_grid(137)

@@ -335,9 +335,10 @@ def forks(monkeypatch):
     return pids
 
 
-def _search_that(caller_raises=False, helper_dies=False):
+def _search_that(caller_raises=False, helper_dies=False, helper_killed=False):
     """The start search, except that it raises in this process (where a
-    helper then hangs until it is killed) or exits at once in a helper."""
+    helper then hangs until it is killed), or a helper exits at once with
+    status 1 or sends itself SIGKILL."""
     caller, search = os.getpid(), warping._budgeted_nelder_mead
 
     def patched(objective, x0):
@@ -348,6 +349,8 @@ def _search_that(caller_raises=False, helper_dies=False):
             time.sleep(600)
         elif helper_dies:
             os._exit(1)
+        elif helper_killed:
+            os.kill(os.getpid(), signal.SIGKILL)
         return search(objective, x0)
 
     return patched
@@ -638,7 +641,8 @@ class TestBuildHelpers:
         assert len(forks) == 2
         assert _matrix_bytes(again, curves) == _matrix_bytes(first, curves)
 
-    def test_equal_contents_searched_once(self, curves, spare_cpus, monkeypatch):
+    @pytest.mark.parametrize("cache", [None, PairCache], ids=["no cache", "cache"])
+    def test_equal_contents_searched_once(self, curves, spare_cpus, monkeypatch, cache):
         twin = dataclasses.replace(curves[0], id=3)
         assert twin.content_key == curves[0].content_key
         search, searched = warping._budgeted_nelder_mead, []
@@ -649,7 +653,7 @@ class TestBuildHelpers:
 
         monkeypatch.setattr(warping, "_budgeted_nelder_mead", counted)
         spare_cpus(0)
-        matrix = similarity_matrix([*curves, twin], 0.5, cache=PairCache())
+        matrix = similarity_matrix([*curves, twin], 0.5, cache=cache and cache())
         # of the 6 pairs, (1, 3) and (2, 3) repeat the contents of (1, 0) and
         # (2, 0): 4 pairs of 5 starts are searched
         assert len(searched) == 4 * len(warping._POWER_STARTS)
@@ -660,12 +664,13 @@ class TestBuildHelpers:
                 == matrix.warp(other, 0).forward.coefficients.tobytes()
             )
 
+    @pytest.mark.parametrize("death", ["helper_dies", "helper_killed"])
     def test_helper_dying_mid_build_leaves_its_units_to_the_caller(
-        self, curves, spare_cpus, monkeypatch
+        self, curves, spare_cpus, monkeypatch, death
     ):
         spare_cpus(0)
         serial = _matrix_bytes(similarity_matrix(curves, 0.5), curves)
-        monkeypatch.setattr(warping, "_budgeted_nelder_mead", _search_that(helper_dies=True))
+        monkeypatch.setattr(warping, "_budgeted_nelder_mead", _search_that(**{death: True}))
         spare_cpus(2)
         with _time_limit(60):
             assert _matrix_bytes(similarity_matrix(curves, 0.5), curves) == serial
