@@ -7,19 +7,25 @@ are unconstrained reals: increments are exp(raw) scaled by the Greville
 spacing of the knot layout, which makes all-equal raw parameters the exact
 identity.  The inverse is approximated by least squares in a finer quadratic
 spline space, on 23 equally spaced interior knots.
+
+The optimizer runs the Nelder-Mead searches of many (pair, start) rows in
+lockstep (`minimize`), one batched objective call per round for all of them
+(`_proxy_values`); each row's search and values are, bit for bit, those of
+scipy's Nelder-Mead on the one-row objective.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import mmap
+import operator
 import os
 import signal
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .curves import Curve
 from .errors import (
@@ -54,6 +60,11 @@ _BUDGET_PER_START = 400
 _SIMPLEX_STEP = 0.3
 _XATOL = 1e-7
 _FATOL = 1e-12
+
+# Grid values per row set of one batched objective call: a process's share
+# of a build is searched in blocks of at most this many // grid points rows,
+# so that the per-row arrays of a call stay in cache.
+_BLOCK_VALUES = 32_768
 
 
 @dataclass(eq=False)
@@ -191,21 +202,13 @@ def n_raw_params() -> int:
     return len(_GREVILLE_STEPS)
 
 
-def _coefficients_from_raw(
-    raw: np.ndarray, greville_steps: np.ndarray, coef: np.ndarray | None = None
-) -> np.ndarray:
-    """Warp coefficients for `raw`, written into `coef` when one is given."""
-    if coef is None:
-        coef = np.empty(len(raw) + 1)
-    coef[0] = 0.0
-    tail = coef[1:]
-    # ufunc calls without the ndarray.max / np.cumsum wrappers: this runs once
-    # per objective evaluation
-    np.subtract(raw, np.maximum.reduce(raw), out=tail)
-    np.exp(tail, out=tail)
-    np.multiply(tail, greville_steps, out=tail)
-    np.add.accumulate(tail, out=tail)
-    np.divide(tail, coef[-1], out=tail)
+def _coefficients_from_raw(raw: np.ndarray) -> np.ndarray:
+    """Warp coefficients for `raw`, one warp per row when `raw` is 2-D."""
+    tail = np.exp(raw - np.maximum.reduce(raw, axis=-1, keepdims=True))
+    np.multiply(tail, _GREVILLE_STEPS, out=tail)
+    np.add.accumulate(tail, axis=-1, out=tail)
+    coef = np.zeros(raw.shape[:-1] + (raw.shape[-1] + 1,))
+    np.divide(tail, tail[..., -1:], out=coef[..., 1:])
     return coef
 
 
@@ -226,7 +229,7 @@ def make_warping(raw_params) -> Warping:
     forward = SplineRep(
         degree=WARP_DEGREE,
         interior_knots=WARP_INTERIOR,
-        coefficients=_coefficients_from_raw(raw, _GREVILLE_STEPS),
+        coefficients=_coefficients_from_raw(raw),
     )
     return Warping(forward=forward, inverse=invert_warping(forward))
 
@@ -314,96 +317,217 @@ def rho_parts(f: Curve, g: Curve, warp: Warping, lambda0: float) -> SimilarityEn
     return SimilarityEntry(rho, warp, p_fwd, p_inv, r_fwd, r_inv)
 
 
-def _proxy_objective(f: Curve, g: Curve, lambda0: float, ws: _WarpWorkspace):
-    """Fast negative-similarity objective without building the inverse spline.
+def _proxy_values(pairs, lambda0: float, row_pairs: np.ndarray):
+    """The search's objective, the negative penalized similarity, of many rows
+    at once: `values(rows, raws)` gives the value at `raws[i]` of row
+    `rows[i]`, whose curves are `pairs[row_pairs[rows[i]]]`, all on one grid.
 
     The reverse-direction correlation and penalty are computed by change of
-    variables with the forward derivative as weight, which is the same quantity
-    up to inverse-approximation error.
+    variables with the forward derivative as weight, without the inverse
+    spline: the same quantity up to inverse-approximation error.  A row whose
+    warp is numerically flat somewhere, whose warped curve is constant, or
+    whose similarity is not finite reads 2.0.
 
-    The objective runs about 2,000 times per pair, so its work buffers are
-    allocated once here and each step writes into them.  The arithmetic (every
-    product, dot product and operand order) is fixed: results carry
-    full-precision values, so a change here must keep the objective
-    bit-identical (tests/test_warping.py holds the reference).
+    Each row gets the bytes of the one-row objective that tests/test_warping.py
+    keeps as the reference: per-row products run through `np.vecdot` and a
+    stacked `np.matmul`, which call the same BLAS dot and gemv per row as
+    `np.dot(w, x)` and `basis @ coef`.  `rows @ w` and `coef @ basis.T` call
+    other kernels, whose last bits differ.
     """
-    w = f.grid.weights
-    fs = f.samples
-    f_centered = fs - w @ fs
-    f_norm = np.sqrt(w @ (f_centered * f_centered))
-    g_values = spline_evaluator(g.spline)
-    basis, deriv, steps = ws.basis, ws.deriv, _GREVILLE_STEPS
-    min_denom = ZERO_NORM_TOL**2
-    # ndarray.min without its Python wrapper; np.dot takes the same BLAS path
-    # as 1-D @
-    amin, dot = np.minimum.reduce, np.dot
+    grid = pairs[0][0].grid
+    ws, w, n = _workspace(grid), grid.weights, len(grid)
+    fs = np.array([f.samples for f, _ in pairs])
+    f_centered = fs - np.vecdot(fs, w)[:, None]
+    f_norm = np.sqrt(np.vecdot(f_centered * f_centered, w))
+    g_values = [spline_evaluator(g.spline) for _, g in pairs]
+    vecdot, clip = np.vecdot, _clip_unit
 
-    coef = np.empty(len(steps) + 1)
-    psi, dpsi, gc, wd, gcw, fcw, tmp = np.empty((7, len(w)))
-
-    def objective(raw: np.ndarray) -> float:
-        _coefficients_from_raw(raw, steps, coef)
-        np.matmul(basis, coef, out=psi)
-        np.matmul(deriv, coef, out=dpsi)
-        if not amin(dpsi) > 1e-9:
-            return 2.0  # NaN, or numerically flat somewhere; 1/dpsi would blow up
-        # np.clip's bytes at half its cost: psi, a nonnegative sum, has no -0.0 or NaN
+    def values(rows: np.ndarray, raws: np.ndarray) -> np.ndarray:
+        coef = _coefficients_from_raw(raws)[:, :, None]
+        psi = np.matmul(ws.basis, coef).reshape(len(rows), n)
+        dpsi = np.matmul(ws.deriv, coef).reshape(len(rows), n)
+        # NaN, or numerically flat somewhere: 1/dpsi would blow up
+        flat = ~(np.minimum.reduce(dpsi, axis=1) > 1e-9)
+        if flat.any():
+            out, ok = np.full(len(rows), 2.0), np.flatnonzero(~flat)
+            if len(ok):
+                out[ok] = values(rows[ok], raws[ok])
+            return out
+        p = row_pairs[rows]
+        # np.clip's bytes: psi, a nonnegative sum, has no -0.0 or NaN
         np.minimum(np.maximum(psi, 0.0, out=psi), 1.0, out=psi)
-        g_warped = g_values(psi)
-        np.subtract(g_warped, dot(w, g_warped), out=gc)
-        np.multiply(gc, gc, out=tmp)
-        g_norm = math.sqrt(dot(w, tmp))
-        if g_norm <= ZERO_NORM_TOL:
-            return 2.0
-        np.multiply(f_centered, gc, out=tmp)
-        r_fwd = min(max(dot(w, tmp) / (f_norm * g_norm), -1.0), 1.0)
-        np.subtract(dpsi, 1.0, out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
-        p_fwd = dot(w, tmp)
-        np.multiply(w, dpsi, out=wd)
-        np.subtract(g_warped, dot(wd, g_warped), out=gcw)
-        np.subtract(fs, dot(wd, fs), out=fcw)
-        np.multiply(gcw, gcw, out=tmp)
-        g_var = dot(wd, tmp)
-        np.multiply(fcw, fcw, out=tmp)
-        denom = math.sqrt(g_var * dot(wd, tmp))
-        if denom <= min_denom:
-            return 2.0
-        np.multiply(gcw, fcw, out=tmp)
-        r_inv = min(max(dot(wd, tmp) / denom, -1.0), 1.0)
-        np.divide(1.0, dpsi, out=tmp)
-        np.subtract(tmp, 1.0, out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
-        p_inv = dot(wd, tmp)
-        rho = 0.5 * ((r_fwd - lambda0 * p_fwd) + (r_inv - lambda0 * p_inv))
-        return -rho if math.isfinite(rho) else 2.0
+        g_warped = np.empty_like(psi)
+        stop = 0  # one spline call per run of a pair's rows
+        for pair, run in itertools.groupby(p.tolist()):
+            start, stop = stop, stop + len(list(run))
+            g_warped[start:stop] = g_values[pair](psi[start:stop])
+        fsp = fs[p]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gc = g_warped - vecdot(g_warped, w)[:, None]
+            g_norm = np.sqrt(vecdot(gc * gc, w))
+            r_fwd = clip(vecdot(f_centered[p] * gc, w) / (f_norm[p] * g_norm))
+            d1 = dpsi - 1.0
+            p_fwd = vecdot(d1 * d1, w)
+            wd = w * dpsi
+            gcw = g_warped - vecdot(wd, g_warped)[:, None]
+            fcw = fsp - vecdot(wd, fsp)[:, None]
+            g_var = vecdot(wd, gcw * gcw)
+            denom = np.sqrt(g_var * vecdot(wd, fcw * fcw))
+            r_inv = clip(vecdot(wd, gcw * fcw) / denom)
+            d1 = 1.0 / dpsi - 1.0
+            p_inv = vecdot(wd, d1 * d1)
+            rho = 0.5 * ((r_fwd - lambda0 * p_fwd) + (r_inv - lambda0 * p_inv))
+        good = (g_norm > ZERO_NORM_TOL) & (denom > ZERO_NORM_TOL**2) & np.isfinite(rho)
+        return np.where(good, np.negative(rho, out=rho), 2.0)
 
-    return objective
+    return values
 
 
-def _budgeted_nelder_mead(objective, x0: np.ndarray) -> np.ndarray:
-    remaining = _BUDGET_PER_START
-    x, fx = x0, objective(x0)
-    step = _SIMPLEX_STEP
-    while remaining > 2 * (len(x0) + 1):
-        simplex = np.vstack([x] + [x + step * e for e in np.eye(len(x0))])
-        res = minimize(
-            objective,
-            x,
-            method="Nelder-Mead",
-            options={
-                "maxfev": remaining,
-                "xatol": _XATOL,
-                "fatol": _FATOL,
-                "initial_simplex": simplex,
-            },
-        )
-        remaining -= res.nfev
-        if res.fun >= fx - 1e-13:
+def _clip_unit(x: np.ndarray) -> np.ndarray:
+    """x clipped into [-1, 1], NaN kept, as `min(max(x, -1.0), 1.0)` per value."""
+    return np.minimum(np.maximum(x, -1.0, out=x), 1.0, out=x)
+
+
+# Nelder-Mead coefficients (scipy's defaults): reflection, expansion,
+# contraction and shrink.
+_REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1, 2, 0.5, 0.5
+
+
+def _ordered(sim: list, fsim: list) -> tuple:
+    """Vertices and values in `np.argsort(fsim)` order: scipy's order, equal
+    values included."""
+    order = np.array(fsim).argsort().tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
+def _add_points(x: list, y: list) -> list:
+    return list(map(operator.add, x, y))
+
+
+def _nelder_mead(sim: list, maxfev: int):
+    """scipy's `_minimize_neldermead` from `initial_simplex=sim`, with its
+    default coefficients, `maxfev` and `xatol=_XATOL`, `fatol=_FATOL`, step for
+    step, as a generator: it yields each point to evaluate, is sent the point's
+    value, and returns the final point, its value and the evaluations spent.
+
+    Points are lists of floats whose arithmetic is scipy's per coordinate; the
+    centroid sums the vertices in order, as `np.add.reduce(sim[:-1], 0)` does.
+    When the budget runs out mid-step, the step ends where scipy's does: an
+    expansion or contraction changes nothing, and a shrink keeps the vertex it
+    moved but could not evaluate.
+    """
+    n = len(sim) - 1
+    fsim = []
+    for x in sim:
+        fsim.append((yield x))
+    calls = n + 1
+    sim, fsim = _ordered(*_ordered(sim, fsim))  # scipy sorts twice here
+    while calls < maxfev:
+        best, fbest = sim[0], fsim[0]
+        if all(abs(a - b) <= _XATOL for x in sim[1:] for a, b in zip(x, best)) and all(
+            abs(fbest - f) <= _FATOL for f in fsim[1:]
+        ):
             break
-        x, fx = res.x, res.fun
+        xbar = [c / n for c in functools.reduce(_add_points, sim[:-1])]
+        worst = sim[-1]
+        xr = [(1 + _REFLECT) * c - _REFLECT * v for c, v in zip(xbar, worst)]
+        fxr = yield xr
+        calls += 1
+        if fxr < fsim[0]:
+            if calls < maxfev:
+                k = _REFLECT * _EXPAND
+                xe = [(1 + k) * c - k * v for c, v in zip(xbar, worst)]
+                fxe = yield xe
+                calls += 1
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif calls < maxfev:
+            if fxr < fsim[-1]:
+                k = _CONTRACT * _REFLECT
+                xc = [(1 + k) * c - k * v for c, v in zip(xbar, worst)]
+                fxc = yield xc
+                calls += 1
+                shrink = not fxc <= fxr
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+            else:
+                xcc = [(1 - _CONTRACT) * c + _CONTRACT * v for c, v in zip(xbar, worst)]
+                fxcc = yield xcc
+                calls += 1
+                shrink = not fxcc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xcc, fxcc
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = [a + _SHRINK * (b - a) for a, b in zip(sim[0], sim[j])]
+                    if calls == maxfev:
+                        break
+                    fsim[j] = yield sim[j]
+                    calls += 1
+        sim, fsim = _ordered(sim, fsim)
+    return sim[0], np.min(fsim), calls
+
+
+def _start_search(x0: np.ndarray):
+    """One start's search as a generator, like `_nelder_mead`: Nelder-Mead
+    from a simplex of edge `_SIMPLEX_STEP` at x0, restarted from its final
+    point with an edge a third as long (at least 1e-3) for as long as a run
+    improves the value by more than 1e-13 and more than 2 (n + 1) of the
+    start's `_BUDGET_PER_START` evaluations remain; x0's own first evaluation
+    is outside the budget.  Returns the final point."""
+    x = x0.tolist()
+    fx = yield x
+    remaining, step = _BUDGET_PER_START, _SIMPLEX_STEP
+    while remaining > 2 * (len(x) + 1):
+        simplex = [x] + [
+            [a + (step if i == j else 0.0) for i, a in enumerate(x)] for j in range(len(x))
+        ]
+        xn, fn, nfev = yield from _nelder_mead(simplex, remaining)
+        remaining -= nfev
+        if fn >= fx - 1e-13:
+            break
+        x, fx = xn, fn
         step = max(step / 3.0, 1e-3)
     return x
+
+
+@dataclass(eq=False)
+class SearchResult:
+    """The final point of each start, one row each, and the objective
+    evaluations the search spent, each start's first included."""
+
+    x: np.ndarray
+    nfev: int
+
+
+def minimize(values, x0s: np.ndarray) -> SearchResult:
+    """The budgeted Nelder-Mead search (`_start_search`) from each
+    row of `x0s`, all rows in lockstep.
+
+    Each round takes the one point that each unfinished row waits on and
+    makes one `values(rows, points)` call for all of them (`rows` holds the
+    row indices); each row then gets its own value back.  A row's points do
+    not depend on the other rows, so its final point is that of its search
+    alone.
+    """
+    searches = [_start_search(x0) for x0 in x0s]
+    rows = list(range(len(searches)))
+    points = [next(search) for search in searches]
+    finals = np.array(x0s, dtype=float)
+    nfev = 0
+    while rows:
+        fx = values(np.array(rows), np.array(points)).tolist()
+        nfev += len(rows)
+        waiting, points = [], []
+        for row, value in zip(rows, fx):
+            try:
+                points.append(searches[row].send(value))
+                waiting.append(row)
+            except StopIteration as done:
+                finals[row] = done.value
+        rows = waiting
+    return SearchResult(finals, nfev)
 
 
 @functools.cache
@@ -431,8 +555,11 @@ def _spare_cpus() -> int:
 
 
 def _check_pairs(pairs, lambda0: float) -> None:
-    """Reject a bad penalty weight, or a constant curve in any (f, g) pair."""
+    """Reject a bad penalty weight, pairs whose curves are on more than one
+    grid, or a constant curve in any (f, g) pair."""
     check_lambda0(lambda0)
+    if len({curve.grid.key for pair in pairs for curve in pair}) > 1:
+        raise InvalidInputError("curves must share the same grid")
     for f, g in pairs:
         if centered_norm(f.samples, f.grid.weights) <= ZERO_NORM_TOL or (
             centered_norm(g.samples, g.grid.weights) <= ZERO_NORM_TOL
@@ -442,14 +569,20 @@ def _check_pairs(pairs, lambda0: float) -> None:
 
 def _run_units(pairs, lambda0, units, out) -> None:
     """Write the Nelder-Mead final point of each (pair index, start index)
-    unit into the matching row of `out`."""
+    unit into the matching row of `out`.
+
+    The units, pair-major, are searched in blocks of at most
+    `_BLOCK_VALUES // grid points`, each block by one `minimize` call over the
+    pairs its units hold.
+    """
     starts, _ = _start_points()
-    objective, current = None, None
-    for row, (p, s) in zip(out, units):
-        if p != current:  # units come pair-major: one objective per run of a pair
-            f, g = pairs[p]
-            objective, current = _proxy_objective(f, g, lambda0, _workspace(f.grid)), p
-        row[:] = _budgeted_nelder_mead(objective, starts[s])
+    block = max(_BLOCK_VALUES // len(pairs[0][0].grid), 1)
+    for first in range(0, len(units), block):
+        chunk = units[first : first + block]
+        low = chunk[0][0]
+        row_pairs = np.array([p - low for p, _ in chunk])
+        values = _proxy_values(pairs[low : chunk[-1][0] + 1], lambda0, row_pairs)
+        out[first : first + block] = minimize(values, np.array([starts[s] for _, s in chunk])).x
 
 
 def _fork_helper(pairs, lambda0, units, out) -> int:

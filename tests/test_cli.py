@@ -370,10 +370,10 @@ class TestExitCodes:
     def test_unwritable_output_invalid_input(
         self, small_dataset, tmp_path, capsys, monkeypatch, command, where
     ):
-        def no_search(objective, x0):
+        def no_search(values, x0s):
             raise AssertionError("a pair search ran")
 
-        monkeypatch.setattr(warping, "_budgeted_nelder_mead", no_search)
+        monkeypatch.setattr(warping, "minimize", no_search)
         curves, _ = small_dataset
         bad = str(tmp_path / "missing" / "out") if where == "missing folder" else str(tmp_path)
         good = str(tmp_path / "good.csv")

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import json
+import linecache
 import os
 import signal
 import subprocess
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import _optimize
+from scipy.optimize import minimize as scipy_minimize
 
 import curveclust
 from curveclust import warping
@@ -258,8 +261,51 @@ def _reference_proxy_objective(f, g, lambda0, ws):
     return objective
 
 
+def _reference_budgeted_nelder_mead(objective, x0):
+    """The start search as scipy's Nelder-Mead ran it (reference, verbatim):
+    restarts with shrinking simplexes inside one evaluation budget."""
+    remaining = warping._BUDGET_PER_START
+    x, fx = x0, objective(x0)
+    step = warping._SIMPLEX_STEP
+    while remaining > 2 * (len(x0) + 1):
+        simplex = np.vstack([x] + [x + step * e for e in np.eye(len(x0))])
+        res = scipy_minimize(
+            objective,
+            x,
+            method="Nelder-Mead",
+            options={
+                "maxfev": remaining,
+                "xatol": warping._XATOL,
+                "fatol": warping._FATOL,
+                "initial_simplex": simplex,
+            },
+        )
+        remaining -= res.nfev
+        if res.fun >= fx - 1e-13:
+            break
+        x, fx = res.x, res.fun
+        step = max(step / 3.0, 1e-3)
+    return x
+
+
+def _reference_final_points(pairs, lambda0):
+    """Final point of each start of each pair, one pair and start at a time
+    through the reference objective and the reference search."""
+    starts, _ = warping._start_points()
+    finals = []
+    for f, g in pairs:
+        objective = _reference_proxy_objective(f, g, lambda0, warping._workspace(f.grid))
+        finals.append([_reference_budgeted_nelder_mead(objective, raw) for raw in starts])
+    return finals
+
+
+def _point_bytes(finals):
+    return [[x.tobytes() for x in pair] for pair in finals]
+
+
 class TestProxyObjectiveIdentity:
-    """The lean proxy objective returns the reference's float, bit for bit."""
+    """The batched proxy objective returns the reference's float for every
+    row, bit for bit."""
 
     @pytest.mark.parametrize("grid_fixture, lambda0", [("grid100", 0.5), ("grid500", 0.0)])
     def test_bit_identical_on_random_raws(self, grid_fixture, lambda0, request):
@@ -268,8 +314,7 @@ class TestProxyObjectiveIdentity:
         f = random_smooth_curve(0, grid, rng)
         g = random_smooth_curve(1, grid, rng)
         ws = warping._workspace(grid)
-        lean = warping._proxy_objective(f, g, lambda0, ws)
-        reference = _reference_proxy_objective(f, g, lambda0, ws)
+        references = [_reference_proxy_objective(a, b, lambda0, ws) for a, b in ((f, g), (g, f))]
 
         n_raw = n_raw_params()
         raws = rng.normal(0.0, 1.0, (2400, n_raw)) * rng.uniform(0.01, 3.0, (2400, 1))
@@ -280,33 +325,144 @@ class TestProxyObjectiveIdentity:
         raws[150:160][np.arange(10), rng.integers(0, n_raw, 10)] = 40.0
         raws[160] = np.nan
 
-        lean_values = [lean(raw) for raw in raws]
-        ref_values = [reference(raw) for raw in raws]
-        assert lean_values == ref_values
+        # two pairs interleaved: row 2i is raw i for (f, g), row 2i + 1 for (g, f),
+        # in blocks of 480 rows to keep the arrays small
+        values = warping._proxy_values([(f, g), (g, f)], lambda0, np.tile([0, 1], len(raws)))
+        points = np.repeat(raws, 2, axis=0)
+        batched = [
+            value
+            for rows in np.array_split(np.arange(len(points)), 10)
+            for value in values(rows, points[rows]).tolist()
+        ]
+        ref_values = [reference(raw) for raw in raws for reference in references]
+        assert batched == ref_values
         steps = warping._GREVILLE_STEPS
-        for raw in raws:
-            assert (
-                warping._coefficients_from_raw(raw, steps).tobytes()
-                == _reference_coefficients_from_raw(raw, steps).tobytes()
-            )
-        assert sum(v == 2.0 for v in ref_values) >= 100
-        assert sum(v != 2.0 for v in ref_values) >= 2000
+        for raw, coef in zip(raws, warping._coefficients_from_raw(raws)):
+            want = _reference_coefficients_from_raw(raw, steps).tobytes()
+            assert warping._coefficients_from_raw(raw).tobytes() == want
+            assert coef.tobytes() == want
+        assert sum(v == 2.0 for v in ref_values[::2]) >= 100
+        assert sum(v != 2.0 for v in ref_values[::2]) >= 2000
 
-    def test_optimize_warping_identical_to_reference(self, grid100, grid500, monkeypatch):
+    def test_optimize_warping_identical_to_reference(self, grid100, grid500):
         rng = np.random.default_rng(21)
         cases = [(grid100, 0.5), (grid100, 0.0), (grid500, 0.0)]
         pairs = [
             (random_smooth_curve(0, grid, rng), random_smooth_curve(1, grid, rng), lambda0)
             for grid, lambda0 in cases
         ]
-        lean = [optimize_warping(f, g, lambda0) for f, g, lambda0 in pairs]
-        monkeypatch.setattr(warping, "_proxy_objective", _reference_proxy_objective)
-        reference = [optimize_warping(f, g, lambda0) for f, g, lambda0 in pairs]
-        for entry, ref in zip(lean, reference):
+        for f, g, lambda0 in pairs:
+            (finals,) = _reference_final_points([(f, g)], lambda0)
+            entry = optimize_warping(f, g, lambda0)
+            ref = optimize_warping(f, g, lambda0, np.array(finals))
             assert entry.warp.forward.coefficients.tobytes() == (
                 ref.warp.forward.coefficients.tobytes()
             )
             assert entry.rho == ref.rho
+
+
+def _recording_budget(phases):
+    """scipy's evaluation counter for Nelder-Mead, except that it adds to
+    `phases` the source line of each evaluation it refuses for want of
+    budget: where in the step the budget ran out."""
+    counter = _optimize._wrap_scalar_function_maxfun_validation
+
+    def wrap(function, args, maxfun):
+        ncalls, counted = counter(function, args, maxfun)
+
+        def recording(x, *more):
+            if ncalls[0] >= maxfun:
+                caller = sys._getframe(1)
+                phases.add(linecache.getline(caller.f_code.co_filename, caller.f_lineno).strip())
+            return counted(x, *more)
+
+        return ncalls, recording
+
+    return wrap
+
+
+class TestLockstepSearch:
+    """The lockstep search of a build gives every (pair, start) the final
+    point of its scipy-driven search, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "grid_fixture, lambda0", [("grid100", 0.5), ("grid100", 0.0), ("grid500", 0.0)]
+    )
+    def test_final_points_equal_the_scipy_search(self, grid_fixture, lambda0, request, spare_cpus):
+        grid = request.getfixturevalue(grid_fixture)
+        rng = np.random.default_rng(25)
+        curves = [random_smooth_curve(i, grid, rng) for i in range(3)]
+        pairs = [(f, g) for i, f in enumerate(curves) for g in curves[i + 1 :]]
+        spare_cpus(0)
+        assert _point_bytes(warping.final_points(pairs, lambda0)) == _point_bytes(
+            _reference_final_points(pairs, lambda0)
+        )
+
+    def test_budget_running_out_mid_step(self, grid100, spare_cpus, monkeypatch):
+        # with 33 evaluations a start, these starts run out of budget inside
+        # an expansion, a contraction and a shrink
+        monkeypatch.setattr(warping, "_BUDGET_PER_START", 33)
+        phases = set()
+        monkeypatch.setattr(
+            _optimize, "_wrap_scalar_function_maxfun_validation", _recording_budget(phases)
+        )
+        spare_cpus(0)
+        rng = np.random.default_rng(9)
+        for lambda0 in (0.5, 0.0):
+            curves = [random_smooth_curve(i, grid100, rng) for i in range(3)]
+            pairs = [(f, g) for i, f in enumerate(curves) for g in curves[i + 1 :]]
+            assert _point_bytes(warping.final_points(pairs, lambda0)) == _point_bytes(
+                _reference_final_points(pairs, lambda0)
+            )
+        assert {"fxe = func(xe)", "fsim[j] = func(sim[j])"} <= phases
+        assert phases & {"fxc = func(xc)", "fxcc = func(xcc)"}
+
+    @pytest.mark.parametrize("budget", [33, 400])
+    def test_equal_values_ordered_as_scipy_orders_them(self, monkeypatch, budget):
+        # a stepped bowl: vertices of equal value are common, so the order
+        # np.argsort gives equal values decides which vertex moves next
+        monkeypatch.setattr(warping, "_BUDGET_PER_START", budget)
+        phases = set()
+        monkeypatch.setattr(
+            _optimize, "_wrap_scalar_function_maxfun_validation", _recording_budget(phases)
+        )
+        rng = np.random.default_rng(28)
+        x0s = rng.normal(0.0, 1.0, (40, n_raw_params()))
+        centre = rng.normal(0.0, 1.0, n_raw_params())
+
+        def stepped(x):
+            return float(np.floor(4.0 * np.sum((x - centre) ** 2)) / 4.0)
+
+        result = warping.minimize(lambda rows, points: np.array([stepped(x) for x in points]), x0s)
+        reference = [_reference_budgeted_nelder_mead(stepped, x0) for x0 in x0s]
+        assert _point_bytes([result.x]) == _point_bytes([reference])
+        if budget == 33:
+            assert {"fxe = func(xe)", "fsim[j] = func(sim[j])"} <= phases
+            assert phases & {"fxc = func(xc)", "fxcc = func(xcc)"}
+
+    def test_counts_every_evaluation(self, grid100):
+        rng = np.random.default_rng(27)
+        f, g = random_smooth_curve(0, grid100, rng), random_smooth_curve(1, grid100, rng)
+        calls = []
+        objective = _reference_proxy_objective(f, g, 0.5, warping._workspace(grid100))
+
+        def counted(raw):
+            calls.append(raw)
+            return objective(raw)
+
+        starts, _ = warping._start_points()
+        for raw in starts:
+            _reference_budgeted_nelder_mead(counted, raw)
+        rows = []
+        values = warping._proxy_values([(f, g)], 0.5, np.zeros(len(starts), dtype=int))
+
+        def recorded(active, points):
+            rows.extend(active.tolist())
+            return values(active, points)
+
+        result = warping.minimize(recorded, np.array(starts))
+        assert result.nfev == len(rows) == len(calls)
+        assert _point_bytes([result.x]) == _point_bytes(_reference_final_points([(f, g)], 0.5))
 
 
 @pytest.fixture()
@@ -336,12 +492,12 @@ def forks(monkeypatch):
 
 
 def _search_that(caller_raises=False, helper_dies=False, helper_killed=False):
-    """The start search, except that it raises in this process (where a
+    """The search of a process's share, except that it raises in this process (where a
     helper then hangs until it is killed), or a helper exits at once with
     status 1 or sends itself SIGKILL."""
-    caller, search = os.getpid(), warping._budgeted_nelder_mead
+    caller, search = os.getpid(), warping.minimize
 
-    def patched(objective, x0):
+    def patched(values, x0s):
         if os.getpid() == caller:
             if caller_raises:
                 raise RuntimeError("caller's start failed")
@@ -351,7 +507,7 @@ def _search_that(caller_raises=False, helper_dies=False, helper_killed=False):
             os._exit(1)
         elif helper_killed:
             os.kill(os.getpid(), signal.SIGKILL)
-        return search(objective, x0)
+        return search(values, x0s)
 
     return patched
 
@@ -411,8 +567,7 @@ class TestHelperProcesses:
         starts, _ = warping._start_points()
         serial = []
         for f, g in ((f0, g0), (f1, g1)):
-            objective = warping._proxy_objective(f, g, lambda0, warping._workspace(f.grid))
-            finals = [warping._budgeted_nelder_mead(objective, raw) for raw in starts]
+            (finals,) = _reference_final_points([(f, g)], lambda0)
             serial.append([x.tobytes() for x in finals])
             assert len(set(serial[-1])) == len(starts)
         for count in (1, 2, 4):
@@ -442,7 +597,7 @@ class TestHelperProcesses:
         (f0, g0, lam0), (f1, g1, lam1) = pairs[:2]
         spare_cpus(0)
         serial = _entry_bytes(similarity(f1, g1, lam1))
-        monkeypatch.setattr(warping, "_budgeted_nelder_mead", _search_that(caller_raises=True))
+        monkeypatch.setattr(warping, "minimize", _search_that(caller_raises=True))
         spare_cpus(1)
         with _time_limit(60):
             with pytest.raises(RuntimeError):
@@ -457,7 +612,7 @@ class TestHelperProcesses:
         f, g, lambda0 = pairs[0]
         spare_cpus(0)
         serial = _entry_bytes(similarity(f, g, lambda0))
-        monkeypatch.setattr(warping, "_budgeted_nelder_mead", _search_that(helper_dies=True))
+        monkeypatch.setattr(warping, "minimize", _search_that(helper_dies=True))
         spare_cpus(1)
         with _time_limit(60):
             assert _entry_bytes(similarity(f, g, lambda0)) == serial
@@ -478,11 +633,11 @@ class TestHelperProcesses:
         with _time_limit(60):
             similarity(f, g, lambda0)
             _assert_no_child()
-            monkeypatch.setattr(warping, "_budgeted_nelder_mead", fails)
+            monkeypatch.setattr(warping, "minimize", fails)
             with pytest.raises(RuntimeError):
                 similarity(f, g, lambda0)
             _assert_no_child()
-            monkeypatch.setattr(warping, "_budgeted_nelder_mead", dies)
+            monkeypatch.setattr(warping, "minimize", dies)
             similarity(f, g, lambda0)
             _assert_no_child()
             monkeypatch.undo()
@@ -504,17 +659,17 @@ class TestHelperProcesses:
             "from curveclust.curves import refit_on_grid\n"
             "from curveclust.splines import uniform_grid\n"
             "fd, caller = int(sys.argv[1]), os.getpid()\n"
-            "fork, search = os.fork, warping._budgeted_nelder_mead\n"
+            "fork, search = os.fork, warping.minimize\n"
             "def helper_fork():\n"
             "    pid = fork()\n"
             "    if pid == 0:\n"
             "        os.write(fd, b'h')\n"
             "    return pid\n"
-            "def killed(objective, x0):\n"
+            "def killed(values, x0s):\n"
             "    if os.getpid() == caller:\n"
             "        os.kill(caller, signal.SIGKILL)\n"
-            "    return search(objective, x0)\n"
-            "os.fork, warping._budgeted_nelder_mead = helper_fork, killed\n"
+            "    return search(values, x0s)\n"
+            "os.fork, warping.minimize = helper_fork, killed\n"
             "warping._spare_cpus = lambda: 2\n"
             "grid = uniform_grid(100)\n"
             "f = refit_on_grid(0, grid, np.sin(2 * np.pi * grid.points))\n"
@@ -645,13 +800,13 @@ class TestBuildHelpers:
     def test_equal_contents_searched_once(self, curves, spare_cpus, monkeypatch, cache):
         twin = dataclasses.replace(curves[0], id=3)
         assert twin.content_key == curves[0].content_key
-        search, searched = warping._budgeted_nelder_mead, []
+        search, searched = warping.minimize, []
 
-        def counted(objective, x0):
-            searched.append(x0)
-            return search(objective, x0)
+        def counted(values, x0s):
+            searched.extend(x0s)
+            return search(values, x0s)
 
-        monkeypatch.setattr(warping, "_budgeted_nelder_mead", counted)
+        monkeypatch.setattr(warping, "minimize", counted)
         spare_cpus(0)
         matrix = similarity_matrix([*curves, twin], 0.5, cache=cache and cache())
         # of the 6 pairs, (1, 3) and (2, 3) repeat the contents of (1, 0) and
@@ -670,7 +825,7 @@ class TestBuildHelpers:
     ):
         spare_cpus(0)
         serial = _matrix_bytes(similarity_matrix(curves, 0.5), curves)
-        monkeypatch.setattr(warping, "_budgeted_nelder_mead", _search_that(**{death: True}))
+        monkeypatch.setattr(warping, "minimize", _search_that(**{death: True}))
         spare_cpus(2)
         with _time_limit(60):
             assert _matrix_bytes(similarity_matrix(curves, 0.5), curves) == serial
@@ -681,11 +836,11 @@ class TestBuildHelpers:
         with _time_limit(60):
             similarity_matrix(curves, 0.5)
             _assert_no_child()
-            monkeypatch.setattr(warping, "_budgeted_nelder_mead", fails)
+            monkeypatch.setattr(warping, "minimize", fails)
             with pytest.raises(RuntimeError):
                 similarity_matrix(curves, 0.5)
             _assert_no_child()
-            monkeypatch.setattr(warping, "_budgeted_nelder_mead", dies)
+            monkeypatch.setattr(warping, "minimize", dies)
             similarity_matrix(curves, 0.5)
             _assert_no_child()
 
@@ -696,4 +851,23 @@ class TestBuildHelpers:
             similarity_matrix([*curves, flat], 0.5)
         with pytest.raises(InvalidParameterError):
             similarity_matrix(curves, float("nan"))
+        assert forks == []
+
+    def test_mixed_grids_rejected_before_any_search(
+        self, curves, grid200, spare_cpus, forks, monkeypatch
+    ):
+        def no_search(values, x0s):
+            raise AssertionError("a pair search ran")
+
+        monkeypatch.setattr(warping, "minimize", no_search)
+        other = random_smooth_curve(3, grid200, np.random.default_rng(26))
+        spare_cpus(2)
+        for build in (
+            lambda: similarity(curves[0], other, 0.5),
+            lambda: optimize_warping(other, curves[1], 0.5),
+            lambda: similarity_matrix([*curves, other], 0.5),
+            lambda: similarity_matrix([*curves, other], 0.5, cache=PairCache()),
+        ):
+            with pytest.raises(InvalidInputError, match="curves must share the same grid"):
+                build()
         assert forks == []
