@@ -33,10 +33,6 @@ class Partition:
         return sorted((sorted(g) for g in self.groups), key=lambda g: g[0])
 
 
-def _similar(matrix, a, b, c_star) -> bool:
-    return matrix.rho(a, b) > c_star
-
-
 def assign_groups(
     ids: Sequence[int], matrix, c_star: float, nu: Callable
 ) -> PartialClustering:
@@ -51,15 +47,28 @@ def assign_groups(
     ids = sorted(ids)
     if len(ids) < 2:
         raise InvalidInputError("need at least 2 curves to assign groups")
+    n = len(ids)
+    pos = {i: k for k, i in enumerate(ids)}
+    # the similarities, read once; the diagonal is never compared, and a
+    # curve counts as similar to itself so the group test can skip it
+    table = np.zeros((n, n))
+    for k in range(n):
+        for l in range(k + 1, n):
+            table[k, l] = table[l, k] = matrix.rho(ids[k], ids[l])
+    adjacent = table > c_star
+    np.fill_diagonal(adjacent, True)
+    rho_rows, similar_rows = table.tolist(), adjacent.tolist()
 
     def rho(a, b):
-        return matrix.rho(a, b)
+        return rho_rows[pos[a]][pos[b]]
 
     def similar(a, b):
-        return _similar(matrix, a, b, c_star)
+        return similar_rows[pos[a]][pos[b]]
 
+    # Python sums in id order: a numpy sum would add in another order
     score = {
-        i: sum(rho(i, j) for j in ids if j != i and similar(i, j)) for i in ids
+        i: sum(rho_rows[k][l] for l in range(n) if l != k and similar_rows[k][l])
+        for k, i in enumerate(ids)
     }
     sequence = sorted(ids, key=lambda i: (-score[i], i))
     groups: List[List[int]] = []
@@ -75,20 +84,16 @@ def assign_groups(
                 admitted.append(cand)
 
         alive = set(admitted)
-        has_conflict = any(
-            any(c not in alive and similar(c, m) for c in ids) for m in admitted
-        )
-        if has_conflict:
+        rows = [pos[m] for m in admitted]
+        # a conflict: a curve outside the group is similar to a member
+        if np.delete(adjacent[:, rows], rows, axis=0).any():
             for member in admitted:  # examined in admission order
                 if member not in alive:
                     continue
-                similar_to_member = {c for c in ids if c != member and similar(c, member)}
-                similar_to_group = {
-                    c
-                    for c in ids
-                    if all(similar(c, m) for m in alive if m != c)
-                }
-                conflicts = similar_to_member - similar_to_group
+                k = pos[member]
+                torn = adjacent[:, k] & ~adjacent[:, [pos[m] for m in alive]].all(axis=1)
+                torn[k] = False
+                conflicts = [ids[l] for l in np.flatnonzero(torn)]
                 if not conflicts:
                     continue
                 rival = sorted(conflicts, key=lambda c: (-rho(member, c), c))[0]
@@ -215,7 +220,7 @@ def candidate_partition(
         result = groups
     elif p0 == 0 and q0 == 2:
         g1, g2 = unassigned
-        if _similar(matrix, g1, g2, c_star):
+        if matrix.rho(g1, g2) > c_star:
             result = [{g1, g2}]
         else:
             result = [{g1}, {g2}]

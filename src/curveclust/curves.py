@@ -18,6 +18,7 @@ from .splines import (
     SplineSettings,
     evaluate,
     fit_least_squares,
+    grid_basis,
 )
 
 # The largest sample magnitude a curve may have.  Squares and products of two
@@ -44,10 +45,12 @@ class Curve:
         return h.digest()
 
 
-def fit_shape_spline(x, y, settings: SplineSettings = DEFAULT_SPLINES) -> SplineRep:
+def fit_shape_spline(
+    x, y, settings: SplineSettings = DEFAULT_SPLINES, design=None
+) -> SplineRep:
     x = np.asarray(x, dtype=float)
     return fit_least_squares(
-        x, y, np.ones_like(x), settings.shape_degree, settings.shape_interior()
+        x, y, np.ones_like(x), settings.shape_degree, settings.shape_interior(), design
     )
 
 
@@ -60,7 +63,8 @@ def refit_on_grid(
     members: frozenset = frozenset(),
 ) -> Curve:
     """Project grid values onto the shape-spline space and re-evaluate."""
-    spline = fit_shape_spline(grid.points, values, settings)
+    design = grid_basis(grid, settings.shape_degree, settings.shape_interior())
+    spline = fit_shape_spline(grid.points, values, settings, design)
     return Curve(
         id=curve_id,
         grid=grid,

@@ -28,27 +28,37 @@ def distances_from_similarity(matrix) -> DistanceMatrix:
 
 
 def silhouette(groups, dist: DistanceMatrix) -> float:
-    """Mean silhouette width; elements in singleton groups score 0."""
+    """Mean silhouette width; elements in singleton groups score 0.
+
+    Each group's members are scored at once.  Every mean is a reduce along
+    the last axis of a C-contiguous block, which sums each row in the order
+    `np.mean` sums that row alone; a fancy-indexed column block is not
+    C-contiguous and would sum in another order.  b and the larger of a and b
+    follow Python's `min` and `max`: the first value wins a tie, and a NaN
+    is kept only where it comes first.
+    """
     # each group as its rows, in the group's own iteration order
     groups = [[dist.row[x] for x in g] for g in groups]
     if len(groups) < 2:
         raise UndefinedIndexError("silhouette needs at least 2 groups")
     scores = []
     for gi, group in enumerate(groups):
-        for k, x in enumerate(group):
-            if len(group) == 1:
-                scores.append(0.0)
-                continue
-            d = dist.array[x]
-            a = float(np.mean(d[group[:k] + group[k + 1 :]]))
-            b = min(
-                float(np.mean(d[other]))
-                for gj, other in enumerate(groups)
-                if gj != gi
-            )
-            top = max(a, b)
-            scores.append(0.0 if top == 0.0 else (b - a) / top)
-    return float(np.mean(scores))
+        m = len(group)
+        if m < 2:
+            scores.append(np.zeros(m))
+            continue
+        rows = dist.array[group]
+        own = np.ascontiguousarray(rows[:, group])
+        a = own[~np.eye(m, dtype=bool)].reshape(m, m - 1).mean(axis=1)
+        b = None
+        for gj, other in enumerate(groups):
+            if gj != gi:
+                mean = np.ascontiguousarray(rows[:, other]).mean(axis=1)
+                b = mean if b is None else np.where(mean < b, mean, b)
+        top = np.where(b > a, b, a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores.append(np.where(top == 0.0, 0.0, (b - a) / top))
+    return float(np.mean(np.concatenate(scores)))
 
 
 def _inter_distance(ga, gb, dist, variant):

@@ -107,6 +107,8 @@ def read_labels_csv(path) -> Dict[str, str]:
             continue
         if len(row) < 2:
             raise InvalidInputError("labels rows need an id and a label")
+        if row[0] in labels:
+            raise InvalidInputError(f"duplicate id in labels file: {row[0]!r}")
         labels[row[0]] = row[1]
     return labels
 

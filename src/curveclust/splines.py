@@ -151,10 +151,11 @@ class SplineRep:
             self.knots, self.coefficients, self.degree, extrapolate=False
         )
 
-    _values = cached_property(spline_evaluator)
+    # for points already in [0, 1]; calling the spline clips them first
+    evaluator = cached_property(spline_evaluator)
 
     def __call__(self, x) -> np.ndarray:
-        return self._values(np.clip(x, 0.0, 1.0))
+        return self.evaluator(np.clip(x, 0.0, 1.0))
 
 
 def _check_interior(interior_knots: np.ndarray) -> np.ndarray:
@@ -183,11 +184,30 @@ def basis_matrix(x, degree: int, interior_knots) -> np.ndarray:
     return BSpline.design_matrix(pts, t, degree).toarray()
 
 
-def fit_least_squares(x, y, weights, degree: int, interior_knots) -> SplineRep:
+_grid_bases: dict = {}
+
+
+def grid_basis(grid: Grid, degree: int, interior_knots) -> np.ndarray:
+    """`basis_matrix` at the grid's points, built once per grid and knot
+    layout and shared read-only."""
+    interior = np.asarray(interior_knots, dtype=float)
+    key = (grid.key, degree, interior.tobytes())
+    basis = _grid_bases.get(key)
+    if basis is None:
+        basis = _grid_bases[key] = basis_matrix(grid.points, degree, interior)
+        basis.flags.writeable = False
+    return basis
+
+
+def fit_least_squares(
+    x, y, weights, degree: int, interior_knots, design=None
+) -> SplineRep:
     """Weighted least-squares spline fit to scattered samples.
 
-    Solved through an orthogonal factorization; raises SingularFitError when the
-    design is rank deficient or its condition estimate exceeds MAX_CONDITION.
+    `design` is `basis_matrix(x, degree, interior_knots)` when the caller
+    already has it.  Solved through an orthogonal factorization; raises
+    SingularFitError when the design is rank deficient or its condition
+    estimate exceeds MAX_CONDITION.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -202,7 +222,8 @@ def fit_least_squares(x, y, weights, degree: int, interior_knots) -> SplineRep:
         raise InvalidInputError(
             f"need at least {nb} samples to fit {nb} basis functions, got {len(x)}"
         )
-    design = basis_matrix(x, degree, interior)
+    if design is None:
+        design = basis_matrix(x, degree, interior)
     sw = np.sqrt(w)
     coef, _, rank, sv = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf

@@ -72,8 +72,10 @@ class _Quantities:
         self.w = w
         f1 = self.f1 = ctx.target.samples
         psi, self.dpsi = forward_on_grid(ctx.warps, grid)
-        # h_j = neighbor composed with its warp
-        self.warped = np.array([other.spline(p) for other, p in zip(ctx.others, psi)])
+        # h_j = neighbor composed with its warp; psi is in [0, 1] already
+        self.warped = np.array(
+            [other.spline.evaluator(p) for other, p in zip(ctx.others, psi)]
+        )
         centered = self.warped - (self.warped @ w)[:, None]
         self.norms = np.sqrt((centered * centered) @ w)
         if np.any(self.norms <= 1e-12):

@@ -43,7 +43,6 @@ from .splines import (
     derivative,
     evaluate,
     knot_vector,
-    spline_evaluator,
     uniform_interior_knots,
 )
 
@@ -339,7 +338,7 @@ def _proxy_values(pairs, lambda0: float, row_pairs: np.ndarray):
     fs = np.array([f.samples for f, _ in pairs])
     f_centered = fs - np.vecdot(fs, w)[:, None]
     f_norm = np.sqrt(np.vecdot(f_centered * f_centered, w))
-    g_values = [spline_evaluator(g.spline) for _, g in pairs]
+    g_values = [g.spline.evaluator for _, g in pairs]
     vecdot, clip = np.vecdot, _clip_unit
 
     def values(rows: np.ndarray, raws: np.ndarray) -> np.ndarray:

@@ -281,6 +281,19 @@ class TestExitCodes:
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 1 and errors[0].startswith("error: ")
 
+    def test_duplicate_label_ids_invalid_input(self, tmp_path, capsys):
+        # a later row must not overwrite an earlier one: c would count as
+        # label 3 alone and the index would read 1.000000
+        pred, truth = tmp_path / "pred.json", tmp_path / "truth.csv"
+        pred.write_text(json.dumps([["a", "b"], ["c"]]))
+        truth.write_text("id,label\na,1\nb,1\nc,2\nc,3\n")
+        code = main(["evaluate", "--pred", str(pred), "--truth", str(truth)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+
     @pytest.mark.parametrize(
         "option",
         [["--sigma", "nan"], ["--sigma", "inf"], ["--points", "3"], ["--seed", "-1"]],

@@ -53,6 +53,30 @@ def reference_silhouette(groups, dist) -> float:
     return float(np.mean(scores))
 
 
+def loop_silhouette(groups, dist) -> float:
+    """The per-element loop the whole-array silhouette replaced: one
+    `np.mean` of a distance row per element and group."""
+    groups = [[dist.row[x] for x in g] for g in groups]
+    if len(groups) < 2:
+        raise UndefinedIndexError("silhouette needs at least 2 groups")
+    scores = []
+    for gi, group in enumerate(groups):
+        for k, x in enumerate(group):
+            if len(group) == 1:
+                scores.append(0.0)
+                continue
+            d = dist.array[x]
+            a = float(np.mean(d[group[:k] + group[k + 1 :]]))
+            b = min(
+                float(np.mean(d[other]))
+                for gj, other in enumerate(groups)
+                if gj != gi
+            )
+            top = max(a, b)
+            scores.append(0.0 if top == 0.0 else (b - a) / top)
+    return float(np.mean(scores))
+
+
 def reference_inter_distance(ga, gb, dist, variant):
     values = [dist.d(x, y) for x in ga for y in gb]
     if variant == "I1":
@@ -120,6 +144,37 @@ def random_case(seed, string_ids):
     labels = rng.integers(0, int(rng.integers(2, n + 1)), n)
     labels[:2] = [0, 1]  # at least two groups
     order = [ids[k] for k in rng.permutation(n)]
+    groups = [[x for x in order if labels[ids.index(x)] == g] for g in np.unique(labels)]
+    return ids, entries, groups
+
+
+def random_large_case(seed, string_ids):
+    """Seeded similarity entries over 15-70 ids and a random partition with
+    at least one group of 9 or more members, so that means sum enough values
+    for numpy's pairwise sum to differ from a sequential one.  Every third
+    seed draws rho from four values (ties, and zero distances at rho 1); some
+    partitions hold a singleton."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(15, 71))
+    ids = [f"c{k:02d}" for k in range(n)] if string_ids else list(range(n))
+    if seed % 3 == 0:
+        rhos = rng.choice([-0.2, 0.3, 0.9, 1.0], size=n * n)
+    else:
+        rhos = rng.uniform(-0.3, 1.0, n * n)
+    warp = identity_warp()
+    entries = {
+        (ids[i], ids[j]): SimilarityEntry(float(rhos[i * n + j]), warp, 0.0, 0.0, 0.0, 0.0)
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    k = int(rng.integers(2, 2 + n // 9))
+    labels = rng.integers(0, k, n)
+    labels[:9] = 0
+    labels[9] = 1  # at least two groups
+    if seed % 2:
+        labels[-1] = k  # a singleton
+    labels = labels[rng.permutation(n)]
+    order = [ids[j] for j in rng.permutation(n)]
     groups = [[x for x in order if labels[ids.index(x)] == g] for g in np.unique(labels)]
     return ids, entries, groups
 
@@ -262,6 +317,27 @@ class TestArrayStoreMatchesPairStore:
                     assert dunn(parts, dist, inter, intra) == reference_dunn(
                         parts, ref, inter, intra
                     )
+
+    @pytest.mark.parametrize("string_ids", [False, True])
+    @given(st.integers(0, 10_000))
+    def test_large_groups_identical(self, string_ids, seed):
+        ids, entries, groups = random_large_case(seed, string_ids)
+        dist = distances_from_similarity(SimilarityMatrix(entries, ids))
+        ref = ReferenceDistances({p: max(0.0, 1.0 - e.rho) for p, e in entries.items()})
+        for shape in (list, set):
+            parts = [shape(g) for g in groups]
+            value = silhouette(parts, dist)
+            assert value == loop_silhouette(parts, dist)
+            assert value == reference_silhouette(parts, ref)
+
+    def test_large_cases_cover_long_sums_and_ties(self):
+        cases = [random_large_case(seed, False) for seed in range(40)]
+        assert all(15 <= len(ids) <= 70 for ids, _, _ in cases)
+        assert all(max(len(g) for g in groups) >= 9 for _, _, groups in cases)
+        assert any(any(len(g) == 1 for g in groups) for _, _, groups in cases)
+        assert any(
+            len({e.rho for e in entries.values()}) < len(entries) for _, entries, _ in cases
+        )
 
     def test_cases_cover_singletons_and_unsorted_groups(self):
         cases = [random_case(seed, False) for seed in range(40)]

@@ -18,6 +18,7 @@ from curveclust.splines import (
     derivative,
     evaluate,
     fit_least_squares,
+    grid_basis,
     make_grid,
     n_basis,
     spline_evaluator,
@@ -121,6 +122,22 @@ class TestFitLeastSquares:
         residual = y - fit(x)
         gram = design.T @ (w * residual)
         assert np.abs(gram).max() <= 1e-8 * max(1.0, np.abs(y).max())
+
+    def test_grid_basis_fit_byte_equal(self):
+        # the refit of every update reads one cached, read-only design per
+        # grid and knot layout, and fits the same bytes as a fresh design
+        grid = uniform_grid(100)
+        knots = uniform_interior_knots(16)
+        basis = grid_basis(grid, 3, knots)
+        assert grid_basis(make_grid(grid.points.copy()), 3, knots.copy()) is basis
+        assert grid_basis(grid, 3, uniform_interior_knots(15)) is not basis
+        assert not basis.flags.writeable
+        np.testing.assert_array_equal(basis, basis_matrix(grid.points, 3, knots))
+        y = np.sin(5 * grid.points) + grid.points**2
+        w = np.ones_like(y)
+        fresh = fit_least_squares(grid.points, y, w, 3, knots)
+        cached = fit_least_squares(grid.points, y, w, 3, knots, design=basis)
+        assert cached.coefficients.tobytes() == fresh.coefficients.tobytes()
 
 
 class TestEvaluate:
