@@ -11,6 +11,7 @@ import numpy as np
 
 from .curves import Curve
 from .errors import InvalidInputError
+from .products import sum_in_order
 from .splines import DEFAULT_SPLINES, SplineSettings, evaluate, fit_least_squares
 
 
@@ -65,9 +66,9 @@ def assign_groups(
     def similar(a, b):
         return similar_rows[pos[a]][pos[b]]
 
-    # Python sums in id order: a numpy sum would add in another order
+    # sums in id order: a numpy sum would add in another order
     score = {
-        i: sum(rho_rows[k][l] for l in range(n) if l != k and similar_rows[k][l])
+        i: sum_in_order(rho_rows[k][l] for l in range(n) if l != k and similar_rows[k][l])
         for k, i in enumerate(ids)
     }
     sequence = sorted(ids, key=lambda i: (-score[i], i))
@@ -228,7 +229,7 @@ def candidate_partition(
         result = [{unassigned[0]}]
     elif p0 == 0:  # q0 >= 3
         totals = {
-            g: sum(matrix.rho(g, h) for h in unassigned if h != g)
+            g: sum_in_order(matrix.rho(g, h) for h in unassigned if h != g)
             for g in unassigned
         }
         first = sorted(unassigned, key=lambda g: (-totals[g], g))[0]

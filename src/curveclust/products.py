@@ -14,6 +14,20 @@ from .errors import ZeroVarianceError
 ZERO_NORM_TOL = 1e-12
 
 
+def sum_in_order(values) -> float:
+    """The values added left to right from 0.0, one rounding per addition.
+
+    This is builtin `sum` up to Python 3.11; from 3.12 `sum` compensates the
+    rounding of float terms (`sum([1e16, 1.0, -1e16])` is 1.0 there, 0.0
+    here), which would let tie-breaks and result bytes depend on the
+    interpreter.
+    """
+    acc = 0.0
+    for x in values:
+        acc += x
+    return acc
+
+
 def center_inner(f: np.ndarray, g: np.ndarray, weights: np.ndarray) -> float:
     """Centered inner product: integral of (f - Ef)(g - Eg)."""
     fc = f - (weights @ f)

@@ -100,7 +100,8 @@ def similarity_matrix(
 
     The uncached pairs, each pair of curve contents once in either order, go
     through one search (`final_points`: one set of helper processes for the
-    whole build) and are then rescored one by one in pair order.
+    whole build, each process scoring the candidates it searched), and each
+    pair's warp is then picked from its rows in pair order.
     """
     cache = PairCache() if cache is None else cache
     curves = sorted(curves, key=lambda c: c.id)
@@ -113,7 +114,7 @@ def similarity_matrix(
         if key[::-1] not in uncached and cache.get(f, g, lambda0) is None:
             uncached.setdefault(key, (f, g))
     todo = list(uncached.values())
-    for (f, g), finals in zip(todo, final_points(todo, lambda0)):
-        cache.put(f, g, lambda0, optimize_warping(f, g, lambda0, finals))
+    for (f, g), searched in zip(todo, final_points(todo, lambda0)):
+        cache.put(f, g, lambda0, optimize_warping(f, g, lambda0, searched))
     entries = {(f.id, g.id): cache.get(f, g, lambda0) for f, g in pairs}
     return SimilarityMatrix(entries, [c.id for c in curves])

@@ -14,10 +14,11 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import BSpline
 
-try:  # the compiled routine that BSpline.__call__ ends in
+try:  # the compiled routines that BSpline.__call__ and BSpline.design_matrix end in
+    from scipy.interpolate._dierckx import data_matrix as _compiled_basis_rows
     from scipy.interpolate._dierckx import evaluate_spline as _compiled_spline_values
-except ImportError:  # a scipy without it: evaluate through BSpline.__call__
-    _compiled_spline_values = None
+except ImportError:  # a scipy without them: go through BSpline's methods
+    _compiled_basis_rows = _compiled_spline_values = None
 
 from .errors import (
     InvalidInputError,
@@ -172,6 +173,10 @@ def basis_matrix(x, degree: int, interior_knots) -> np.ndarray:
     """Dense matrix of clamped B-spline basis values, rows = points, cols = basis.
 
     Every row sums to 1 (partition of unity) and all entries are in [0, 1].
+    The bytes are `BSpline.design_matrix(...).toarray()`'s: the same compiled
+    routine gives each row's k + 1 nonzero values and their first column, and
+    they are added into zeros as the sparse-to-dense conversion adds them,
+    without building the sparse matrix.
     """
     if degree < 1:
         raise UnsupportedDegreeError(f"degree must be >= 1, got {degree}")
@@ -181,7 +186,12 @@ def basis_matrix(x, degree: int, interior_knots) -> np.ndarray:
         raise InvalidInputError("evaluation points must lie in [0, 1]")
     pts = np.clip(pts, 0.0, 1.0)
     t = knot_vector(degree, interior)
-    return BSpline.design_matrix(pts, t, degree).toarray()
+    if _compiled_basis_rows is None:
+        return BSpline.design_matrix(pts, t, degree).toarray()
+    rows, first, _ = _compiled_basis_rows(pts, t, degree, np.ones_like(pts), False)
+    dense = np.zeros((len(pts), len(t) - degree - 1))
+    dense[np.arange(len(pts))[:, None], first[:, None] + np.arange(degree + 1)] += rows
+    return dense
 
 
 _grid_bases: dict = {}
@@ -243,13 +253,16 @@ def evaluate(spline: SplineRep, x) -> np.ndarray:
 
 
 def derivative(spline: SplineRep) -> SplineRep:
-    """Analytic derivative, one degree lower on the same interior knots."""
+    """Analytic derivative, one degree lower on the same interior knots.
+
+    The coefficients are scipy's `splder` (what `BSpline.derivative` calls),
+    term for term, without building the derivative's BSpline.
+    """
     if spline.degree < 1:
         raise UnsupportedDegreeError("cannot differentiate a degree-0 spline")
-    der = spline._bspline.derivative(1)
-    nb = n_basis(spline.degree - 1, spline.interior_knots)
+    t, c, k = spline.knots, np.asarray(spline.coefficients, dtype=float), spline.degree
     return SplineRep(
-        degree=spline.degree - 1,
+        degree=k - 1,
         interior_knots=spline.interior_knots,
-        coefficients=np.asarray(der.c[:nb], dtype=float),
+        coefficients=(c[1:] - c[:-1]) * k / (t[k + 1 : -1] - t[1 : -k - 1]),
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .curves import Curve, normalize, refit_on_grid
 from .errors import DegenerateDataError, MissingSimilaritiesError
-from .products import center_inner, centered_norm, warp_weighted_rows
+from .products import center_inner, centered_norm, sum_in_order, warp_weighted_rows
 from .splines import DEFAULT_SPLINES, SplineSettings
 from .warping import Warping, forward_on_grid, rho_parts
 
@@ -286,11 +286,11 @@ def verify_improvement(ctx: UpdateContext) -> ImprovementCheck:
     if lam < lc6:
         reasons.append("shrinkage below second bound")
     updated = _update_with(norm_ctx, q)
-    before = sum(
+    before = sum_in_order(
         rho_parts(norm_ctx.target, other, warp, norm_ctx.lambda0).rho
         for other, warp in zip(norm_ctx.others, norm_ctx.warps)
     )
-    after = sum(
+    after = sum_in_order(
         rho_parts(updated, other, warp, norm_ctx.lambda0).rho
         for other, warp in zip(norm_ctx.others, norm_ctx.warps)
     )

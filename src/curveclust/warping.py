@@ -23,7 +23,7 @@ import mmap
 import operator
 import os
 import signal
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,10 +68,15 @@ _BLOCK_VALUES = 32_768
 
 @dataclass(eq=False)
 class Warping:
-    """Forward warp spline paired with a spline approximation of its inverse."""
+    """Forward warp spline paired with a spline approximation of its inverse.
+
+    `on_grid` holds, per grid key, what `rho_parts` needs of the warp alone
+    (`_grid_parts`), computed at the first call on that grid.
+    """
 
     forward: SplineRep
     inverse: SplineRep
+    on_grid: dict = field(default_factory=dict, init=False, repr=False)
 
     def swapped(self) -> "Warping":
         """The same time correspondence read in the opposite direction."""
@@ -296,6 +301,23 @@ def _checked_warp_values(spline: SplineRep, points: np.ndarray) -> np.ndarray:
     return np.clip(vals, 0.0, 1.0)
 
 
+def _grid_parts(warp: Warping, grid: Grid) -> tuple:
+    """psi and its inverse at the grid points, range-checked and clipped into
+    [0, 1] (read-only), and the roughness penalties of the warp and of its
+    inverse: computed at the first call for a grid and kept on the warp."""
+    parts = warp.on_grid.get(grid.key)
+    if parts is None:
+        psi = _read_only(_checked_warp_values(warp.forward, grid.points))
+        psi_inv = _read_only(_checked_warp_values(warp.inverse, grid.points))
+        parts = warp.on_grid[grid.key] = (
+            psi,
+            psi_inv,
+            roughness_penalty(warp, grid),
+            roughness_penalty(warp.swapped(), grid),
+        )
+    return parts
+
+
 def rho_parts(f: Curve, g: Curve, warp: Warping, lambda0: float) -> SimilarityEntry:
     """Penalized similarity of f and g at a fixed warp, with all parts.
 
@@ -306,12 +328,9 @@ def rho_parts(f: Curve, g: Curve, warp: Warping, lambda0: float) -> SimilarityEn
     if f.grid.key != g.grid.key:
         raise InvalidInputError("curves must share the same grid")
     grid = f.grid
-    g_warped = g.spline(_checked_warp_values(warp.forward, grid.points))
-    r_fwd = corr(f.samples, g_warped, grid.weights)
-    p_fwd = roughness_penalty(warp, grid)
-    f_unwarped = f.spline(_checked_warp_values(warp.inverse, grid.points))
-    r_inv = corr(g.samples, f_unwarped, grid.weights)
-    p_inv = roughness_penalty(warp.swapped(), grid)
+    psi, psi_inv, p_fwd, p_inv = _grid_parts(warp, grid)
+    r_fwd = corr(f.samples, g.spline.evaluator(psi), grid.weights)
+    r_inv = corr(g.samples, f.spline.evaluator(psi_inv), grid.weights)
     rho = 0.5 * ((r_fwd - lambda0 * p_fwd) + (r_inv - lambda0 * p_inv))
     return SimilarityEntry(rho, warp, p_fwd, p_inv, r_fwd, r_inv)
 
@@ -566,27 +585,65 @@ def _check_pairs(pairs, lambda0: float) -> None:
             raise ZeroVarianceError("similarity is undefined for constant curves")
 
 
+# A (pair, start) unit's row of a build's shared buffer: the search's final
+# point; for the start's warp (candidate 0) and the final point's warp
+# (candidate 1), whether `rho_parts` scored it and the entry's numbers in
+# `SimilarityEntry` order; and the final warp's inverse coefficients.
+_UNIT = np.dtype(
+    [
+        ("final", float, (len(_GREVILLE_STEPS),)),
+        ("scored", bool, (2,)),
+        ("parts", float, (2, 5)),
+        ("inverse", float, (len(INVERSE_INTERIOR) + WARP_DEGREE + 1,)),
+    ],
+    align=True,
+)
+
+
 def _run_units(pairs, lambda0, units, out) -> None:
-    """Write the Nelder-Mead final point of each (pair index, start index)
-    unit into the matching row of `out`.
+    """Search each (pair index, start index) unit, then score its start's
+    warp and its final point's warp exactly, and write both into the unit's
+    row of `out` (`_UNIT`).
 
     The units, pair-major, are searched in blocks of at most
     `_BLOCK_VALUES // grid points`, each block by one `minimize` call over the
-    pairs its units hold.
+    pairs its units hold.  A warp that is numerically flat (MonotonicityError),
+    leaves the unit interval (WarpRangeError) or makes a curve constant
+    (ZeroVarianceError) is left unscored.
     """
-    starts, _ = _start_points()
+    starts, start_warps = _start_points()
     block = max(_BLOCK_VALUES // len(pairs[0][0].grid), 1)
     for first in range(0, len(units), block):
         chunk = units[first : first + block]
         low = chunk[0][0]
         row_pairs = np.array([p - low for p, _ in chunk])
         values = _proxy_values(pairs[low : chunk[-1][0] + 1], lambda0, row_pairs)
-        out[first : first + block] = minimize(values, np.array([starts[s] for _, s in chunk])).x
+        rows = out[first : first + block]
+        rows["final"] = minimize(values, np.array([starts[s] for _, s in chunk])).x
+        for (p, s), row in zip(chunk, rows):
+            f, g = pairs[p]
+            for candidate in range(2):
+                try:
+                    warp = start_warps[s] if candidate == 0 else make_warping(row["final"])
+                    entry = rho_parts(f, g, warp, lambda0)
+                except (MonotonicityError, WarpRangeError, ZeroVarianceError):
+                    entry = None  # search drifted into a numerically flat warp
+                row["scored"][candidate] = entry is not None
+                if entry is not None:
+                    row["parts"][candidate] = (
+                        entry.rho,
+                        entry.penalty_fwd,
+                        entry.penalty_inv,
+                        entry.r_fwd,
+                        entry.r_inv,
+                    )
+            if entry is not None:  # the final point's warp
+                row["inverse"] = entry.warp.inverse.coefficients
 
 
 def _fork_helper(pairs, lambda0, units, out) -> int:
-    """Fork a process that writes the final points of `units` into `out`, rows
-    of a shared mapping, and exits with status 0; returns its pid."""
+    """Fork a process that writes the rows of `units` into `out`, rows of a
+    shared mapping, and exits with status 0; returns its pid."""
     pid = os.fork()
     if pid == 0:
         code = 1
@@ -600,29 +657,34 @@ def _fork_helper(pairs, lambda0, units, out) -> int:
 
 
 def final_points(pairs, lambda0: float) -> np.ndarray:
-    """The Nelder-Mead final point of each start of each (f, g) pair, as an
-    array of shape (pairs, starts, raw parameters) in pair and start order.
+    """The Nelder-Mead final point of each start of each (f, g) pair, with
+    the exact scores of the start's warp and of the final point's warp: an
+    array of `_UNIT` rows of shape (pairs, starts) in pair and start order.
 
     Every pair is checked before any search starts.  The (pair, start) units
     are flattened pair-major and, with k helpers (one per spare CPU, at most
     one per unit after the first), dealt round-robin: the caller runs
     positions 0, k + 1, 2k + 2, ... and helper share i runs positions i,
-    i + k + 1, ....  Each unit's final point is one row of a buffer that the
-    caller and its helpers share; each helper is forked once for this call,
-    writes its rows and exits.  A unit runs the same code on the same inputs
-    wherever it runs, so the final points do not depend on k.  A helper whose
-    exit status is not 0 has died, and its share runs again in the caller; if
-    the caller raises, the helpers still running are killed and reaped.
+    i + k + 1, ....  Each unit's row is one row of a buffer that the caller
+    and its helpers share; each helper is forked once for this call, writes
+    its rows and exits.  A unit runs the same code on the same inputs
+    wherever it runs, so the rows do not depend on k.  The start warps' grid
+    parts are computed before any fork, so every process reads them.  A
+    helper whose exit status is not 0 has died, and its share runs again in
+    the caller; if the caller raises, the helpers still running are killed
+    and reaped.
     """
     _check_pairs(pairs, lambda0)
-    n_starts, n_raw = len(_POWER_STARTS), n_raw_params()
+    n_starts = len(_POWER_STARTS)
     units = [(p, s) for p in range(len(pairs)) for s in range(n_starts)]
     if not units:
-        return np.empty((0, n_starts, n_raw))
+        return np.empty((0, n_starts), _UNIT)
+    for warp in _start_points()[1]:
+        _grid_parts(warp, pairs[0][0].grid)
     share = min(_spare_cpus(), len(units) - 1) + 1
     # an anonymous mapping is shared with forked children, unlike the heap
-    buffer = mmap.mmap(-1, 8 * n_raw * len(units))
-    finals = np.frombuffer(buffer).reshape(len(units), n_raw)
+    buffer = mmap.mmap(-1, _UNIT.itemsize * len(units))
+    finals = np.frombuffer(buffer, _UNIT)
     helpers = []  # pid of each helper not yet reaped, in share order
     try:
         for i in range(1, share):
@@ -637,44 +699,55 @@ def final_points(pairs, lambda0: float) -> np.ndarray:
         for pid in helpers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return finals.reshape(len(pairs), n_starts, n_raw)
+    return finals.reshape(len(pairs), n_starts)
 
 
 def optimize_warping(
-    f: Curve, g: Curve, lambda0: float, finals: np.ndarray | None = None
+    f: Curve, g: Curve, lambda0: float, searched: np.ndarray | None = None
 ) -> SimilarityEntry:
     """Maximize the penalized similarity of f and g over the warp family.
 
     Nelder-Mead multi-start from fixed power-warp projections, the identity
-    among them.  `finals` are the search's final points for this pair, in
-    start order, when the caller ran the searches of several pairs at once
-    (`final_points`); without them this pair is a build of one pair, its
-    starts shared with helper processes on spare CPUs.  All start and final
-    points are re-scored exactly (inverse spline included); the best exact
-    value wins, so the result never falls below the identity alignment and
-    matches rho_parts at the returned warp to machine precision.
+    among them.  `searched` is this pair's rows of `final_points`, in start
+    order, when the caller ran the searches of several pairs at once; without
+    them this pair is a build of one pair, its starts shared with helper
+    processes on spare CPUs.  Every start and final point was scored exactly
+    (inverse spline included) where it was searched.  The candidates are the
+    starts, then each final point that equals no start and no earlier final
+    point; the best exact value wins, an earlier one on ties, so the result
+    never falls below the identity alignment and matches rho_parts at the
+    returned warp to machine precision.
     """
-    if finals is None:
-        (finals,) = final_points([(f, g)], lambda0)
+    if searched is None:
+        (searched,) = final_points([(f, g)], lambda0)
     else:
         _check_pairs([(f, g)], lambda0)
     starts, start_warps = _start_points()
 
     seen = {raw.tobytes() for raw in starts}
-    candidates = list(zip(starts, start_warps))
-    for final in finals:
+    candidates = [(s, 0) for s in range(len(starts))]
+    for s, final in enumerate(searched["final"]):
         if final.tobytes() not in seen:
             seen.add(final.tobytes())
-            candidates.append((final, None))
+            candidates.append((s, 1))
 
-    best = None
-    for raw, warp in candidates:
-        try:
-            if warp is None:
-                warp = make_warping(raw)
-            entry = rho_parts(f, g, warp, lambda0)
-        except (MonotonicityError, WarpRangeError, ZeroVarianceError):
-            continue  # search drifted into a numerically flat warp
-        if best is None or entry.rho > best.rho:
-            best = entry
-    return best
+    scored, parts = searched["scored"], searched["parts"]
+    best = None  # (start index, candidate)
+    for s, candidate in candidates:
+        if scored[s, candidate] and (best is None or parts[s, candidate, 0] > parts[best][0]):
+            best = s, candidate
+    if best is None:
+        return None
+    s, candidate = best
+    if candidate == 0:
+        warp = start_warps[s]
+    else:
+        # copies: the rows live in the build's shared mapping
+        forward = _coefficients_from_raw(searched["final"][s])
+        inverse = searched["inverse"][s].copy()
+        warp = Warping(
+            SplineRep(WARP_DEGREE, WARP_INTERIOR, forward),
+            SplineRep(WARP_DEGREE, INVERSE_INTERIOR, inverse),
+        )
+    rho, *numbers = parts[best].tolist()
+    return SimilarityEntry(rho, warp, *numbers)

@@ -1,3 +1,4 @@
+import math
 from typing import List
 
 import numpy as np
@@ -14,6 +15,7 @@ from curveclust.combining import (
 from curveclust.curves import refit_on_grid
 from curveclust.errors import InvalidInputError
 from curveclust.indices import silhouette
+from curveclust.products import sum_in_order
 from curveclust.similarity import similarity_matrix
 from curveclust.splines import uniform_grid
 
@@ -230,6 +232,44 @@ class TestAssignGroups:
         partial = assign_groups(ids, matrix, 0.6, silhouette_nu(matrix))
         seen = [i for g in partial.groups for i in g] + list(partial.unassigned)
         assert sorted(seen) == ids
+
+
+class TestSumsInOrder:
+    """Float sums that decide orders add left to right, one rounding per
+    term, whatever the Python version's builtin `sum` does."""
+
+    def test_equals_an_explicit_loop(self):
+        rng = np.random.default_rng(34)
+        cases = [[], [1e16, 1.0, -1e16], [0.1, 0.2, 0.3], [-0.0]]
+        for n in range(1, 60):
+            cases.append((rng.normal(size=n) * 10.0 ** rng.integers(-8, 17, n)).tolist())
+        for values in cases:
+            acc = 0.0
+            for x in values:
+                acc = acc + x
+            assert sum_in_order(values) == acc
+            assert sum_in_order(iter(values)) == acc
+        assert sum_in_order([1e16, 1.0, -1e16]) == 0.0  # compensated sums give 1.0
+
+    def test_connectivity_scores_add_in_order(self):
+        # curve 1's similar neighbors add up to 0.1 + 0.2 + 0.3, which is
+        # 0.6000000000000001 in order but exactly 0.6 as math.fsum adds it;
+        # curve 0's add up to 0.3 + 0.3 = 0.6 either way.  In-order sums
+        # grow curve 1's group first; exact sums would tie and grow curve 0's
+        assert sum_in_order([0.1, 0.2, 0.3]) > sum_in_order([0.3, 0.3])
+        assert math.fsum([0.1, 0.2, 0.3]) == math.fsum([0.3, 0.3])
+        rhos = {(a, b): 0.01 for a in range(5) for b in range(a + 1, 5)}
+        rhos.update({(0, 1): 0.0, (0, 2): 0.3, (0, 3): 0.3, (0, 4): 0.0})
+        rhos.update({(1, 2): 0.1, (1, 3): 0.2, (1, 4): 0.3})
+        calls = []
+
+        def nu(groups):
+            calls.append([sorted(g) for g in groups])
+            return float({1, 4} in [set(g) for g in groups])
+
+        partial = assign_groups(range(5), FakeMatrix(rhos), 0.05, nu)
+        assert calls[0] == [[1, 4], [3]]  # the retention test of curve 1's group
+        assert partial.groups == [[1, 4]]
 
 
 class TestCombineGroup:

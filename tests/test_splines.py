@@ -220,6 +220,43 @@ class TestSplineEvaluator:
             assert ends[0] == spline.coefficients[0] and ends[1] == spline.coefficients[-1]
 
 
+class TestCompiledPaths:
+    """`basis_matrix` and `derivative` skip scipy's sparse matrix and
+    derivative BSpline but keep their bytes."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(33)
+        for degree in (1, 2, 3):
+            for interior in (
+                uniform_interior_knots(0),
+                uniform_interior_knots(3),
+                uniform_interior_knots(23),
+                np.sort(rng.uniform(0.01, 0.99, 9)),
+            ):
+                # the ends, every knot, and points between them
+                x = np.concatenate([[0.0, 1.0], interior, rng.uniform(0.0, 1.0, 40)])
+                yield degree, interior, x, rng.normal(size=n_basis(degree, interior))
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "fallback"])
+    def test_basis_matrix_byte_equal_to_design_matrix(self, compiled, monkeypatch):
+        if not compiled:
+            monkeypatch.setattr(splines, "_compiled_basis_rows", None)
+        for degree, interior, x, _ in self._cases():
+            t = np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
+            want = BSpline.design_matrix(x, t, degree).toarray()
+            assert basis_matrix(x, degree, interior).tobytes() == want.tobytes()
+
+    def test_derivative_byte_equal_to_bspline_derivative(self):
+        for degree, interior, _, coef in self._cases():
+            spline = SplineRep(degree, interior, coef)
+            nb = n_basis(degree - 1, interior)
+            want = BSpline(spline.knots, coef, degree).derivative(1).c[:nb]
+            der = derivative(spline)
+            assert der.degree == degree - 1
+            assert der.coefficients.tobytes() == want.tobytes()
+
+
 class TestDerivative:
     def test_linear_spline_derivative_constant(self):
         x = np.linspace(0, 1, 40)

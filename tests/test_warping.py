@@ -24,10 +24,11 @@ from curveclust.errors import (
     InvalidInputError,
     InvalidParameterError,
     MonotonicityError,
+    WarpRangeError,
     ZeroVarianceError,
 )
 from curveclust.indices import distances_from_similarity, silhouette
-from curveclust.products import ZERO_NORM_TOL
+from curveclust.products import ZERO_NORM_TOL, corr
 from curveclust.similarity import (
     PairCache,
     SimilarityMatrix,
@@ -303,6 +304,56 @@ def _point_bytes(finals):
     return [[x.tobytes() for x in pair] for pair in finals]
 
 
+def _reference_rho_parts(f, g, warp, lambda0):
+    """`rho_parts` as first written, every part computed at every call
+    (reference, verbatim)."""
+    grid = f.grid
+    g_warped = g.spline(warping._checked_warp_values(warp.forward, grid.points))
+    r_fwd = corr(f.samples, g_warped, grid.weights)
+    p_fwd = roughness_penalty(warp, grid)
+    f_unwarped = f.spline(warping._checked_warp_values(warp.inverse, grid.points))
+    r_inv = corr(g.samples, f_unwarped, grid.weights)
+    p_inv = roughness_penalty(warp.swapped(), grid)
+    rho = 0.5 * ((r_fwd - lambda0 * p_fwd) + (r_inv - lambda0 * p_inv))
+    return warping.SimilarityEntry(rho, warp, p_fwd, p_inv, r_fwd, r_inv)
+
+
+def _reference_rescore(f, g, lambda0, finals):
+    """The rescore `optimize_warping` ran in the caller, one candidate after
+    the other, before the search processes scored their own units (reference,
+    verbatim but for `_reference_rho_parts`)."""
+    starts, start_warps = warping._start_points()
+
+    seen = {raw.tobytes() for raw in starts}
+    candidates = list(zip(starts, start_warps))
+    for final in finals:
+        if final.tobytes() not in seen:
+            seen.add(final.tobytes())
+            candidates.append((final, None))
+
+    best = None
+    for raw, warp in candidates:
+        try:
+            if warp is None:
+                warp = warping.make_warping(raw)
+            entry = _reference_rho_parts(f, g, warp, lambda0)
+        except (MonotonicityError, WarpRangeError, ZeroVarianceError):
+            continue  # search drifted into a numerically flat warp
+        if best is None or entry.rho > best.rho:
+            best = entry
+    return best
+
+
+def _entry_bytes(entry):
+    """Every number of an entry and both warp coefficient arrays, as bytes."""
+    numbers = [entry.rho, entry.penalty_fwd, entry.penalty_inv, entry.r_fwd, entry.r_inv]
+    return (
+        np.array(numbers).tobytes(),
+        entry.warp.forward.coefficients.tobytes(),
+        entry.warp.inverse.coefficients.tobytes(),
+    )
+
+
 class TestProxyObjectiveIdentity:
     """The batched proxy objective returns the reference's float for every
     row, bit for bit."""
@@ -354,11 +405,8 @@ class TestProxyObjectiveIdentity:
         for f, g, lambda0 in pairs:
             (finals,) = _reference_final_points([(f, g)], lambda0)
             entry = optimize_warping(f, g, lambda0)
-            ref = optimize_warping(f, g, lambda0, np.array(finals))
-            assert entry.warp.forward.coefficients.tobytes() == (
-                ref.warp.forward.coefficients.tobytes()
-            )
-            assert entry.rho == ref.rho
+            ref = _reference_rescore(f, g, lambda0, finals)
+            assert _entry_bytes(entry) == _entry_bytes(ref)
 
 
 def _recording_budget(phases):
@@ -394,7 +442,7 @@ class TestLockstepSearch:
         curves = [random_smooth_curve(i, grid, rng) for i in range(3)]
         pairs = [(f, g) for i, f in enumerate(curves) for g in curves[i + 1 :]]
         spare_cpus(0)
-        assert _point_bytes(warping.final_points(pairs, lambda0)) == _point_bytes(
+        assert _point_bytes(warping.final_points(pairs, lambda0)["final"]) == _point_bytes(
             _reference_final_points(pairs, lambda0)
         )
 
@@ -411,7 +459,7 @@ class TestLockstepSearch:
         for lambda0 in (0.5, 0.0):
             curves = [random_smooth_curve(i, grid100, rng) for i in range(3)]
             pairs = [(f, g) for i, f in enumerate(curves) for g in curves[i + 1 :]]
-            assert _point_bytes(warping.final_points(pairs, lambda0)) == _point_bytes(
+            assert _point_bytes(warping.final_points(pairs, lambda0)["final"]) == _point_bytes(
                 _reference_final_points(pairs, lambda0)
             )
         assert {"fxe = func(xe)", "fsim[j] = func(sim[j])"} <= phases
@@ -517,14 +565,6 @@ def _assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _entry_bytes(entry):
-    return (
-        entry.rho,
-        entry.warp.forward.coefficients.tobytes(),
-        entry.warp.inverse.coefficients.tobytes(),
-    )
-
-
 @contextlib.contextmanager
 def _time_limit(seconds):
     def on_alarm(signum, frame):
@@ -572,7 +612,7 @@ class TestHelperProcesses:
             assert len(set(serial[-1])) == len(starts)
         for count in (1, 2, 4):
             spare_cpus(count)
-            finals = warping.final_points([(f0, g0), (f1, g1)], lambda0)
+            finals = warping.final_points([(f0, g0), (f1, g1)], lambda0)["final"]
             assert [[x.tobytes() for x in pair] for pair in finals] == serial
 
     def test_start_warps_are_shared_and_read_only(self):
@@ -871,3 +911,135 @@ class TestBuildHelpers:
             with pytest.raises(InvalidInputError, match="curves must share the same grid"):
                 build()
         assert forks == []
+
+
+class TestScoredWhereSearched:
+    """Each process scores the start and final warps of the units it searched;
+    the entries optimize_warping picks from those rows are the caller-side
+    rescore's, byte for byte."""
+
+    @pytest.fixture()
+    def pairs(self, grid100):
+        rng = np.random.default_rng(35)
+        curves = [random_smooth_curve(i, grid100, rng) for i in range(3)]
+        return [(f, g) for i, f in enumerate(curves) for g in curves[i + 1 :]]
+
+    @staticmethod
+    def _entries(pairs, lambda0):
+        rows = warping.final_points(pairs, lambda0)
+        picked = [optimize_warping(f, g, lambda0, r) for (f, g), r in zip(pairs, rows)]
+        reference = [
+            _reference_rescore(f, g, lambda0, r["final"]) for (f, g), r in zip(pairs, rows)
+        ]
+        return rows, [_entry_bytes(e) for e in picked], [_entry_bytes(e) for e in reference]
+
+    def test_same_entries_with_zero_one_and_two_helpers(self, pairs, spare_cpus):
+        results = []
+        for count in (0, 1, 2):
+            spare_cpus(count)
+            _, picked, reference = self._entries(pairs, 0.5)
+            assert picked == reference
+            results.append(picked)
+        assert results[0] == results[1] == results[2]
+
+    def test_a_final_that_raises_is_skipped(self, pairs, spare_cpus, monkeypatch):
+        spare_cpus(0)
+        rows, picked, _ = self._entries(pairs, 0.5)
+        # the final point that won the first pair, or its first final point
+        won = picked[0][1]
+        finals = rows[0]["final"]
+        chosen = next(
+            (x for x in finals if warping._coefficients_from_raw(x).tobytes() == won),
+            finals[0],
+        ).tobytes()
+        build = warping.make_warping
+
+        def refusing(raw):
+            if np.asarray(raw).tobytes() == chosen:
+                raise MonotonicityError("forced")
+            return build(raw)
+
+        monkeypatch.setattr(warping, "make_warping", refusing)
+        spare_cpus(1)
+        rows, forced, reference = self._entries(pairs, 0.5)
+        assert forced == reference
+        assert forced[0] != picked[0] and forced[1:] == picked[1:]
+        assert [bool(r["scored"][1]) for r in rows[0]] == [x.tobytes() != chosen for x in finals]
+
+    @pytest.mark.parametrize("returned", ["two", "all"])
+    def test_a_final_equal_to_a_start_is_skipped(self, pairs, spare_cpus, monkeypatch, returned):
+        search = warping.minimize
+
+        def back_at_starts(values, x0s):
+            result = search(values, x0s)
+            if returned == "all":  # only the starts are candidates: one of them wins
+                result.x[:] = x0s
+            else:
+                result.x[0] = x0s[0]  # a final equal to its own start
+                result.x[-1] = warping._start_points()[0][4]  # and one equal to the last start
+            return result
+
+        monkeypatch.setattr(warping, "minimize", back_at_starts)
+        spare_cpus(1)
+        rows, picked, reference = self._entries(pairs, 0.5)
+        assert picked == reference
+        starts = {raw.tobytes() for raw in warping._start_points()[0]}
+        at_starts = sum(x.tobytes() in starts for x in rows["final"].reshape(-1, n_raw_params()))
+        assert at_starts == rows.size if returned == "all" else at_starts >= 2
+
+    def test_a_helper_killed_mid_build(self, pairs, spare_cpus, monkeypatch):
+        spare_cpus(0)
+        _, serial, _ = self._entries(pairs, 0.5)
+        caller, score, scored = os.getpid(), warping.rho_parts, []
+
+        def killed_after_two(*args):
+            if os.getpid() != caller:
+                scored.append(1)  # this process's own list after the fork
+                if len(scored) > 2:  # dies with some of its rows written
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return score(*args)
+
+        monkeypatch.setattr(warping, "rho_parts", killed_after_two)
+        spare_cpus(2)
+        with _time_limit(60):
+            _, picked, reference = self._entries(pairs, 0.5)
+        assert picked == reference == serial
+
+
+class TestGridParts:
+    """What rho_parts needs of a warp alone is computed once per grid, kept
+    read-only on the warp, and equals a fresh computation."""
+
+    @pytest.mark.parametrize("grid_fixture", ["grid100", "grid500"])
+    def test_cached_parts_equal_fresh_ones(self, grid_fixture, request):
+        grid = request.getfixturevalue(grid_fixture)
+        rng = np.random.default_rng(36)
+        curves = [random_smooth_curve(i, grid, rng) for i in range(3)]
+        warps = [make_warping(rng.normal(0.0, 0.5, n_raw_params())) for _ in range(4)]
+        warps += [w.swapped() for w in warps] + [identity_warp()]
+        for warp in warps:
+            psi, psi_inv, p_fwd, p_inv = parts = warping._grid_parts(warp, grid)
+            assert warping._grid_parts(warp, grid) is parts
+            points = grid.points
+            assert psi.tobytes() == warping._checked_warp_values(warp.forward, points).tobytes()
+            assert psi_inv.tobytes() == warping._checked_warp_values(warp.inverse, points).tobytes()
+            assert (p_fwd, p_inv) == (
+                roughness_penalty(warp, grid),
+                roughness_penalty(warp.swapped(), grid),
+            )
+            for values in (psi, psi_inv):
+                with pytest.raises(ValueError):
+                    values[0] = 0.5
+            for f, g in ((curves[0], curves[1]), (curves[2], curves[0])):
+                for lambda0 in (0.0, 0.5):
+                    twice = [rho_parts(f, g, warp, lambda0) for _ in range(2)]
+                    want = _entry_bytes(_reference_rho_parts(f, g, warp, lambda0))
+                    assert [_entry_bytes(e) for e in twice] == [want, want]
+
+    def test_parts_are_kept_per_grid(self, grid100, grid500):
+        warp = make_warping(np.random.default_rng(37).normal(0.0, 0.5, n_raw_params()))
+        small, large = warping._grid_parts(warp, grid100), warping._grid_parts(warp, grid500)
+        assert len(small[0]) == 100 and len(large[0]) == 500
+        assert set(warp.on_grid) == {grid100.key, grid500.key}
+        # an equal grid built apart shares the key, and so the parts
+        assert warping._grid_parts(warp, make_grid(grid100.points.copy())) is small
