@@ -14,7 +14,7 @@ from .similarity import (
 from .simulation import Scenario, generate, scenario_preset
 from .splines import SplineRep, SplineSettings, uniform_grid
 from .updating import UpdateContext, update_all, update_curve, weight_exponent
-from .warping import Warping, invert_warping, make_warping, optimize_warping, roughness_penalty
+from .warping import Warping, invert_warping, make_warping, roughness_penalty
 
 __all__ = [
     "Curve",
@@ -39,7 +39,6 @@ __all__ = [
     "invert_warping",
     "make_warping",
     "normalize",
-    "optimize_warping",
     "prepare_curves",
     "rho_given_psi",
     "roughness_penalty",

@@ -13,7 +13,8 @@ class InvalidInputError(CurveClustError):
 
 
 class DegenerateDataError(CurveClustError):
-    """Data on which the method is undefined (constant curves, all-ones similarities)."""
+    """Data on which the method is undefined (constant curves, all-ones
+    similarities, a pair with no scorable warp)."""
 
 
 class InvalidKnotsError(InvalidInputError):

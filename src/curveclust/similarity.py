@@ -1,9 +1,12 @@
 """Pairwise penalized similarity: correlation of aligned curves minus the
 time-variation penalty, symmetrized over direction, with matrix-level caching.
 
-One warp is optimized per unordered pair; the opposite order reads the same
-warp with its forward and inverse splines swapped, so the stored similarity is
-symmetric by construction.
+`similarity` maximizes it for one pair and `similarity_matrix` for every
+pair of a collection, both through one build (`warping.final_points`) and a
+pick per pair (`warping.optimize_warping`).  One warp is optimized per
+unordered pair; the opposite order reads the same warp with its forward and
+inverse splines swapped, so the stored similarity is symmetric by
+construction.
 """
 
 from __future__ import annotations
@@ -31,8 +34,11 @@ rho_given_psi = rho_parts
 
 
 def similarity(f: Curve, g: Curve, lambda0: float) -> SimilarityEntry:
-    """Maximized penalized similarity, delegating to the warp optimizer."""
-    return optimize_warping(f, g, lambda0)
+    """Maximized penalized similarity of one pair: a build of that pair alone
+    (`final_points`, its starts shared with helper processes on spare CPUs),
+    and its warp picked from its rows (`optimize_warping`)."""
+    (rows,) = final_points([(f, g)], lambda0)
+    return optimize_warping(rows)
 
 
 class PairCache:
@@ -114,7 +120,7 @@ def similarity_matrix(
         if key[::-1] not in uncached and cache.get(f, g, lambda0) is None:
             uncached.setdefault(key, (f, g))
     todo = list(uncached.values())
-    for (f, g), searched in zip(todo, final_points(todo, lambda0)):
-        cache.put(f, g, lambda0, optimize_warping(f, g, lambda0, searched))
+    for (f, g), rows in zip(todo, final_points(todo, lambda0)):
+        cache.put(f, g, lambda0, optimize_warping(rows))
     entries = {(f.id, g.id): cache.get(f, g, lambda0) for f, g in pairs}
     return SimilarityMatrix(entries, [c.id for c in curves])

@@ -119,10 +119,12 @@ def spline_evaluator(spline: "SplineRep"):
     bytes are `BSpline.__call__`'s, without that method's argument handling
     (about 5 us of a 100-point call).
     """
-    bspline = spline._bspline
+    t, k = spline.knots, spline.degree
     if _compiled_spline_values is None:
-        return bspline
-    t, c, k = bspline.t, np.ascontiguousarray(bspline.c).reshape(-1, 1), bspline.k
+        # clamped knots and float coefficients pass BSpline's validating
+        # constructor unchanged, so it is skipped
+        return BSpline.construct_fast(t, spline.coefficients, k, extrapolate=False)
+    c = np.ascontiguousarray(spline.coefficients).reshape(-1, 1)
 
     def values(x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -143,14 +145,6 @@ class SplineRep:
     @cached_property
     def knots(self) -> np.ndarray:
         return knot_vector(self.degree, self.interior_knots)
-
-    @cached_property
-    def _bspline(self) -> BSpline:
-        # clamped knots from knot_vector and float coefficient arrays pass the
-        # validating constructor unchanged; skipping it saves ~17 us a spline
-        return BSpline.construct_fast(
-            self.knots, self.coefficients, self.degree, extrapolate=False
-        )
 
     # for points already in [0, 1]; calling the spline clips them first
     evaluator = cached_property(spline_evaluator)
@@ -197,16 +191,33 @@ def basis_matrix(x, degree: int, interior_knots) -> np.ndarray:
 _grid_bases: dict = {}
 
 
+def _shared_design(key: tuple, build) -> np.ndarray:
+    design = _grid_bases.get(key)
+    if design is None:
+        design = _grid_bases[key] = build()
+        design.flags.writeable = False
+    return design
+
+
 def grid_basis(grid: Grid, degree: int, interior_knots) -> np.ndarray:
     """`basis_matrix` at the grid's points, built once per grid and knot
     layout and shared read-only."""
     interior = np.asarray(interior_knots, dtype=float)
-    key = (grid.key, degree, interior.tobytes())
-    basis = _grid_bases.get(key)
-    if basis is None:
-        basis = _grid_bases[key] = basis_matrix(grid.points, degree, interior)
-        basis.flags.writeable = False
-    return basis
+    return _shared_design(
+        (grid.key, degree, interior.tobytes()),
+        lambda: basis_matrix(grid.points, degree, interior),
+    )
+
+
+def grid_derivative_basis(grid: Grid, degree: int, interior_knots) -> np.ndarray:
+    """The design whose product with a degree-`degree` spline's coefficients
+    is the spline's derivative at the grid's points: `grid_basis` one degree
+    lower times `_difference_operator`, kept read-only in the same cache."""
+    interior = np.asarray(interior_knots, dtype=float)
+    return _shared_design(
+        (grid.key, degree, interior.tobytes(), "derivative"),
+        lambda: grid_basis(grid, degree - 1, interior) @ _difference_operator(degree, interior),
+    )
 
 
 def fit_least_squares(
@@ -266,3 +277,15 @@ def derivative(spline: SplineRep) -> SplineRep:
         interior_knots=spline.interior_knots,
         coefficients=(c[1:] - c[:-1]) * k / (t[k + 1 : -1] - t[1 : -k - 1]),
     )
+
+
+def _difference_operator(degree: int, interior_knots: np.ndarray) -> np.ndarray:
+    """Matrix mapping spline coefficients to derivative-spline coefficients."""
+    t = knot_vector(degree, interior_knots)
+    nb = len(interior_knots) + degree + 1
+    op = np.zeros((nb - 1, nb))
+    for i in range(nb - 1):
+        span = t[i + degree + 1] - t[i + 1]
+        op[i, i] = -degree / span
+        op[i, i + 1] = degree / span
+    return op

@@ -10,7 +10,7 @@ conditions and the resulting inequality numerically on a concrete instance).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -255,15 +255,8 @@ def verify_improvement(ctx: UpdateContext) -> ImprovementCheck:
     compare the penalized similarity of the target (before/after the update)
     to each neighbor at the fixed instance warps.
     """
-    norm_ctx = UpdateContext(
-        target=normalize(ctx.target),
-        others=[normalize(c) for c in ctx.others],
-        warps=ctx.warps,
-        sims=ctx.sims,
-        n_js=ctx.n_js,
-        tau=ctx.tau,
-        lambda0=ctx.lambda0,
-        settings=ctx.settings,
+    norm_ctx = replace(
+        ctx, target=normalize(ctx.target), others=[normalize(c) for c in ctx.others]
     )
     q = _Quantities(norm_ctx)
     reasons = []

@@ -11,7 +11,9 @@ spline space, on 23 equally spaced interior knots.
 The optimizer runs the Nelder-Mead searches of many (pair, start) rows in
 lockstep (`minimize`), one batched objective call per round for all of them
 (`_proxy_values`); each row's search and values are, bit for bit, those of
-scipy's Nelder-Mead on the one-row objective.
+scipy's Nelder-Mead on the one-row objective.  A build (`final_points`)
+scores each start and final point exactly where it was searched, and
+`optimize_warping` picks each pair's warp from the pair's rows.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 from .curves import Curve
 from .errors import (
+    DegenerateDataError,
     InvalidInputError,
     InvalidParameterError,
     MonotonicityError,
@@ -42,6 +45,8 @@ from .splines import (
     basis_matrix,
     derivative,
     evaluate,
+    grid_basis,
+    grid_derivative_basis,
     knot_vector,
     uniform_interior_knots,
 )
@@ -130,48 +135,6 @@ INVERSE_INTERIOR = _read_only(uniform_interior_knots(23))
 _GREVILLE_STEPS = _read_only(np.diff(greville_abscissae(WARP_DEGREE, WARP_INTERIOR)))
 
 
-def _difference_operator(degree: int, interior_knots: np.ndarray) -> np.ndarray:
-    """Matrix mapping spline coefficients to derivative-spline coefficients."""
-    t = knot_vector(degree, interior_knots)
-    nb = len(interior_knots) + degree + 1
-    op = np.zeros((nb - 1, nb))
-    for i in range(nb - 1):
-        span = t[i + degree + 1] - t[i + 1]
-        op[i, i] = -degree / span
-        op[i, i + 1] = degree / span
-    return op
-
-
-def _design_matrices(points: np.ndarray, interior: np.ndarray) -> tuple:
-    """Value and derivative design matrices of warp-degree splines on
-    `interior`: `basis @ coef` and `deriv @ coef` are psi and psi' at `points`."""
-    basis = basis_matrix(points, WARP_DEGREE, interior)
-    diff_op = _difference_operator(WARP_DEGREE, interior)
-    return basis, basis_matrix(points, WARP_DEGREE - 1, interior) @ diff_op
-
-
-class _WarpWorkspace:
-    """Cached matrices for fast warp/derivative evaluation on a fixed grid, for
-    both knot layouts of the family: a warp (`basis`, `deriv`) and an inverse
-    (`inverse_basis`, `inverse_deriv`)."""
-
-    def __init__(self, grid: Grid):
-        self.basis, self.deriv = _design_matrices(grid.points, WARP_INTERIOR)
-        self.inverse_basis, self.inverse_deriv = _design_matrices(
-            grid.points, INVERSE_INTERIOR
-        )
-
-
-_workspaces: dict = {}
-
-
-def _workspace(grid: Grid) -> _WarpWorkspace:
-    ws = _workspaces.get(grid.key)
-    if ws is None:
-        ws = _workspaces[grid.key] = _WarpWorkspace(grid)
-    return ws
-
-
 def _has_layout(spline: SplineRep, interior: np.ndarray) -> bool:
     return spline.degree == WARP_DEGREE and (
         spline.interior_knots is interior
@@ -181,21 +144,17 @@ def _has_layout(spline: SplineRep, interior: np.ndarray) -> bool:
 
 def forward_on_grid(warps, grid: Grid) -> tuple:
     """psi (clipped into [0, 1]) and psi' of each warp's forward spline at the
-    grid points, one row per warp, from the workspace's design matrices: one
+    grid points, one row per warp, from the grid's cached design matrices: one
     product per knot layout.  A swapped warp reads its inverse forward."""
-    ws = _workspace(grid)
     psi = np.empty((len(warps), len(grid)))
     dpsi = np.empty_like(psi)
     placed = 0
-    for interior, basis, deriv in (
-        (WARP_INTERIOR, ws.basis, ws.deriv),
-        (INVERSE_INTERIOR, ws.inverse_basis, ws.inverse_deriv),
-    ):
+    for interior in (WARP_INTERIOR, INVERSE_INTERIOR):
         rows = [j for j, warp in enumerate(warps) if _has_layout(warp.forward, interior)]
         if rows:
             coef = np.array([warps[j].forward.coefficients for j in rows])
-            psi[rows] = coef @ basis.T
-            dpsi[rows] = coef @ deriv.T
+            psi[rows] = coef @ grid_basis(grid, WARP_DEGREE, interior).T
+            dpsi[rows] = coef @ grid_derivative_basis(grid, WARP_DEGREE, interior).T
             placed += len(rows)
     if placed != len(warps):
         raise InvalidInputError("warp spline is outside the fixed warp family")
@@ -353,7 +312,9 @@ def _proxy_values(pairs, lambda0: float, row_pairs: np.ndarray):
     other kernels, whose last bits differ.
     """
     grid = pairs[0][0].grid
-    ws, w, n = _workspace(grid), grid.weights, len(grid)
+    w, n = grid.weights, len(grid)
+    basis = grid_basis(grid, WARP_DEGREE, WARP_INTERIOR)
+    deriv = grid_derivative_basis(grid, WARP_DEGREE, WARP_INTERIOR)
     fs = np.array([f.samples for f, _ in pairs])
     f_centered = fs - np.vecdot(fs, w)[:, None]
     f_norm = np.sqrt(np.vecdot(f_centered * f_centered, w))
@@ -362,8 +323,8 @@ def _proxy_values(pairs, lambda0: float, row_pairs: np.ndarray):
 
     def values(rows: np.ndarray, raws: np.ndarray) -> np.ndarray:
         coef = _coefficients_from_raw(raws)[:, :, None]
-        psi = np.matmul(ws.basis, coef).reshape(len(rows), n)
-        dpsi = np.matmul(ws.deriv, coef).reshape(len(rows), n)
+        psi = np.matmul(basis, coef).reshape(len(rows), n)
+        dpsi = np.matmul(deriv, coef).reshape(len(rows), n)
         # NaN, or numerically flat somewhere: 1/dpsi would blow up
         flat = ~(np.minimum.reduce(dpsi, axis=1) > 1e-9)
         if flat.any():
@@ -572,19 +533,6 @@ def _spare_cpus() -> int:
     return len(os.sched_getaffinity(0)) - 1
 
 
-def _check_pairs(pairs, lambda0: float) -> None:
-    """Reject a bad penalty weight, pairs whose curves are on more than one
-    grid, or a constant curve in any (f, g) pair."""
-    check_lambda0(lambda0)
-    if len({curve.grid.key for pair in pairs for curve in pair}) > 1:
-        raise InvalidInputError("curves must share the same grid")
-    for f, g in pairs:
-        if centered_norm(f.samples, f.grid.weights) <= ZERO_NORM_TOL or (
-            centered_norm(g.samples, g.grid.weights) <= ZERO_NORM_TOL
-        ):
-            raise ZeroVarianceError("similarity is undefined for constant curves")
-
-
 # A (pair, start) unit's row of a build's shared buffer: the search's final
 # point; for the start's warp (candidate 0) and the final point's warp
 # (candidate 1), whether `rho_parts` scored it and the entry's numbers in
@@ -661,9 +609,10 @@ def final_points(pairs, lambda0: float) -> np.ndarray:
     the exact scores of the start's warp and of the final point's warp: an
     array of `_UNIT` rows of shape (pairs, starts) in pair and start order.
 
-    Every pair is checked before any search starts.  The (pair, start) units
-    are flattened pair-major and, with k helpers (one per spare CPU, at most
-    one per unit after the first), dealt round-robin: the caller runs
+    Before any search starts, a bad penalty weight, curves on more than one
+    grid and a constant curve in any pair are rejected.  The (pair, start)
+    units are flattened pair-major and, with k helpers (one per spare CPU, at
+    most one per unit after the first), dealt round-robin: the caller runs
     positions 0, k + 1, 2k + 2, ... and helper share i runs positions i,
     i + k + 1, ....  Each unit's row is one row of a buffer that the caller
     and its helpers share; each helper is forked once for this call, writes
@@ -674,7 +623,12 @@ def final_points(pairs, lambda0: float) -> np.ndarray:
     the caller; if the caller raises, the helpers still running are killed
     and reaped.
     """
-    _check_pairs(pairs, lambda0)
+    check_lambda0(lambda0)
+    if len({curve.grid.key for pair in pairs for curve in pair}) > 1:
+        raise InvalidInputError("curves must share the same grid")
+    for pair in pairs:
+        if any(centered_norm(c.samples, c.grid.weights) <= ZERO_NORM_TOL for c in pair):
+            raise ZeroVarianceError("similarity is undefined for constant curves")
     n_starts = len(_POWER_STARTS)
     units = [(p, s) for p in range(len(pairs)) for s in range(n_starts)]
     if not units:
@@ -702,42 +656,30 @@ def final_points(pairs, lambda0: float) -> np.ndarray:
     return finals.reshape(len(pairs), n_starts)
 
 
-def optimize_warping(
-    f: Curve, g: Curve, lambda0: float, searched: np.ndarray | None = None
-) -> SimilarityEntry:
-    """Maximize the penalized similarity of f and g over the warp family.
+def optimize_warping(searched: np.ndarray) -> SimilarityEntry:
+    """The maximized penalized similarity of one pair, picked from the pair's
+    rows of `final_points`, in start order.
 
-    Nelder-Mead multi-start from fixed power-warp projections, the identity
-    among them.  `searched` is this pair's rows of `final_points`, in start
-    order, when the caller ran the searches of several pairs at once; without
-    them this pair is a build of one pair, its starts shared with helper
-    processes on spare CPUs.  Every start and final point was scored exactly
-    (inverse spline included) where it was searched.  The candidates are the
-    starts, then each final point that equals no start and no earlier final
-    point; the best exact value wins, an earlier one on ties, so the result
-    never falls below the identity alignment and matches rho_parts at the
-    returned warp to machine precision.
+    Every start and final point was scored exactly (inverse spline included)
+    where it was searched.  The candidates are the five starts, then the five
+    final points, and a later one wins only when its exact value is strictly
+    larger, so the result never falls below the identity alignment and
+    matches rho_parts at the returned warp to machine precision.  A final
+    point equal to an earlier candidate has that candidate's scores, so it
+    never wins.  Raises DegenerateDataError when no candidate could be scored.
     """
-    if searched is None:
-        (searched,) = final_points([(f, g)], lambda0)
-    else:
-        _check_pairs([(f, g)], lambda0)
-    starts, start_warps = _start_points()
-
-    seen = {raw.tobytes() for raw in starts}
-    candidates = [(s, 0) for s in range(len(starts))]
-    for s, final in enumerate(searched["final"]):
-        if final.tobytes() not in seen:
-            seen.add(final.tobytes())
-            candidates.append((s, 1))
-
+    start_warps = _start_points()[1]
     scored, parts = searched["scored"], searched["parts"]
     best = None  # (start index, candidate)
-    for s, candidate in candidates:
-        if scored[s, candidate] and (best is None or parts[s, candidate, 0] > parts[best][0]):
-            best = s, candidate
+    for candidate in range(2):
+        for s in range(len(searched)):
+            if scored[s, candidate] and (best is None or parts[s, candidate, 0] > parts[best][0]):
+                best = s, candidate
     if best is None:
-        return None
+        raise DegenerateDataError(
+            "no warp of the pair could be scored: every start and final point was"
+            " numerically flat, left the unit interval or made a curve constant"
+        )
     s, candidate = best
     if candidate == 0:
         warp = start_warps[s]

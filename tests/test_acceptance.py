@@ -19,7 +19,6 @@ from curveclust.updating import UpdateContext, verify_improvement
 from curveclust.warping import (
     make_warping,
     n_raw_params,
-    optimize_warping,
     power_warp_raw,
     rho_parts,
     roughness_penalty,
@@ -169,7 +168,7 @@ class TestCriterion6WarpRecovery:
     def test_power_warp_recovery(self, grid500):
         f = refit_on_grid(0, grid500, sine_shape(grid500.points**1.2))
         g = refit_on_grid(1, grid500, sine_shape(grid500.points))
-        entry = optimize_warping(f, g, 0.0)
+        entry = similarity(f, g, 0.0)
         check = np.linspace(0, 1, 257)
         sup = np.abs(entry.warp.forward(check) - check**1.2).max()
         ok = sup <= 0.02 and entry.rho >= 0.99

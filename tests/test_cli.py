@@ -5,7 +5,7 @@ import pytest
 
 from curveclust import warping
 from curveclust.cli import main
-from curveclust.errors import InvalidInputError
+from curveclust.errors import InvalidInputError, WarpRangeError
 from curveclust.io import (
     read_curves_csv,
     read_labels_csv,
@@ -161,6 +161,25 @@ class TestAlign:
         )
         assert code == 2
 
+    def test_pair_with_no_scorable_warp_is_degenerate(
+        self, small_dataset, tmp_path, capsys, monkeypatch
+    ):
+        # every exact score fails, in the caller and in the helpers forked after
+        # the patch: no start and no final point of the pair is scored
+        def out_of_range(*args):
+            raise WarpRangeError("forced")
+
+        monkeypatch.setattr(warping, "rho_parts", out_of_range)
+        curves, _ = small_dataset
+        out = tmp_path / "align.json"
+        capsys.readouterr()
+        code = main(
+            ["align", "--input", str(curves), "--pair", "0,1", "--lambda0", "0.0", "--out", str(out)]
+        )
+        assert code == 3
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: no warp of the pair")
+        assert not out.exists()
 
     def test_grid_matches_library_similarity(self, s31_dataset, tmp_path):
         out = tmp_path / "align.json"

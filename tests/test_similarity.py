@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from curveclust.curves import refit_on_grid
-from curveclust import warping
+from curveclust import splines
 from curveclust.errors import InvalidInputError, InvalidParameterError, ZeroVarianceError
 from curveclust.products import center_inner, corr
 from curveclust.similarity import (
@@ -19,7 +19,6 @@ from curveclust.splines import make_grid, uniform_grid
 from curveclust.warping import (
     make_warping,
     n_raw_params,
-    optimize_warping,
     power_warp_raw,
 )
 
@@ -254,14 +253,13 @@ def _entry_bytes(entry):
 class TestBadLambda0:
     @pytest.mark.parametrize("lambda0", [np.nan, np.inf, -1.0])
     @pytest.mark.parametrize(
-        "entry_point", ["optimize_warping", "similarity", "similarity_matrix", "rho_given_psi"]
+        "entry_point", ["similarity", "similarity_matrix", "rho_given_psi"]
     )
     def test_rejected(self, entry_point, lambda0):
         grid = uniform_grid(100)
         f = refit_on_grid(0, grid, sine_shape(grid.points))
         g = refit_on_grid(1, grid, sine_shape(grid.points**1.2))
         call = {
-            "optimize_warping": lambda: optimize_warping(f, g, lambda0),
             "similarity": lambda: similarity(f, g, lambda0),
             "similarity_matrix": lambda: similarity_matrix([f, g], lambda0),
             "rho_given_psi": lambda: rho_given_psi(f, g, identity_warp(), lambda0),
@@ -278,9 +276,9 @@ class TestCachesKeyedByInput:
             refit_on_grid(i, stretched, sine_shape(stretched.points**p))
             for i, p in ((0, 1.0), (1, 1.2))
         )
-        monkeypatch.setattr(warping, "_workspaces", {})
+        monkeypatch.setattr(splines, "_grid_bases", {})
         alone = _entry_bytes(similarity(f, g, 0.5))
-        monkeypatch.setattr(warping, "_workspaces", {})
+        monkeypatch.setattr(splines, "_grid_bases", {})
         u, v = (refit_on_grid(i, uniform, sine_shape(uniform.points)) for i in (0, 1))
         similarity(u, v, 0.5)
         assert _entry_bytes(similarity(f, g, 0.5)) == alone

@@ -19,6 +19,7 @@ from curveclust.splines import (
     evaluate,
     fit_least_squares,
     grid_basis,
+    grid_derivative_basis,
     make_grid,
     n_basis,
     spline_evaluator,
@@ -139,6 +140,24 @@ class TestFitLeastSquares:
         cached = fit_least_squares(grid.points, y, w, 3, knots, design=basis)
         assert cached.coefficients.tobytes() == fresh.coefficients.tobytes()
 
+    @pytest.mark.parametrize("n_points", [100, 500])
+    def test_grid_derivative_basis_shared_and_read_only(self, n_points):
+        # the warp search and forward_on_grid read psi' through this design
+        grid = uniform_grid(n_points)
+        rng = np.random.default_rng(34)
+        for knots in (uniform_interior_knots(3), uniform_interior_knots(23)):
+            deriv = grid_derivative_basis(grid, 2, knots)
+            assert grid_derivative_basis(make_grid(grid.points.copy()), 2, knots.copy()) is deriv
+            assert deriv is not grid_basis(grid, 2, knots)
+            assert deriv is not grid_basis(grid, 1, knots)
+            assert not deriv.flags.writeable
+            fresh = basis_matrix(grid.points, 1, knots) @ splines._difference_operator(2, knots)
+            assert deriv.tobytes() == fresh.tobytes()
+            spline = SplineRep(2, knots, np.cumsum(rng.uniform(0.1, 1.0, n_basis(2, knots))))
+            np.testing.assert_allclose(
+                deriv @ spline.coefficients, derivative(spline)(grid.points), rtol=1e-12
+            )
+
 
 class TestEvaluate:
     def test_constant_spline(self):
@@ -210,8 +229,9 @@ class TestSplineEvaluator:
         ]
         for spline in self._splines():
             values = spline_evaluator(spline)
+            bspline = BSpline(spline.knots, spline.coefficients, spline.degree, extrapolate=False)
             for x in points:
-                want = spline._bspline(x)
+                want = bspline(x)
                 got = values(x)
                 assert got.shape == want.shape == np.shape(x)
                 assert got.tobytes() == want.tobytes()

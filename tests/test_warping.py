@@ -21,6 +21,7 @@ from curveclust import warping
 from curveclust.combining import assign_groups, candidate_partition, combine_group
 from curveclust.curves import refit_on_grid
 from curveclust.errors import (
+    DegenerateDataError,
     InvalidInputError,
     InvalidParameterError,
     MonotonicityError,
@@ -40,6 +41,8 @@ from curveclust.splines import (
     SplineRep,
     derivative,
     evaluate,
+    grid_basis,
+    grid_derivative_basis,
     make_grid,
     uniform_interior_knots,
 )
@@ -48,7 +51,6 @@ from curveclust.warping import (
     invert_warping,
     make_warping,
     n_raw_params,
-    optimize_warping,
     power_warp_raw,
     rho_parts,
     roughness_penalty,
@@ -113,8 +115,8 @@ class TestInvertWarping:
 
 
 class TestForwardOnGrid:
-    """Batched psi and psi' from the workspace's design matrices against each
-    warp's own spline, for both knot layouts of the family."""
+    """Batched psi and psi' from the grid's cached design matrices against
+    each warp's own spline, for both knot layouts of the family."""
 
     @pytest.mark.parametrize("points", [np.linspace(0, 1, 100), np.linspace(0, 1, 333) ** 1.4])
     def test_matches_spline_evaluation(self, points):
@@ -172,19 +174,19 @@ class TestOptimizeWarping:
     def test_self_match(self, grid200):
         f = refit_on_grid(0, grid200, sine_shape(grid200.points))
         for lambda0 in (0.0, 0.5):
-            assert optimize_warping(f, f, lambda0).rho == pytest.approx(1.0, abs=1e-4)
+            assert similarity(f, f, lambda0).rho == pytest.approx(1.0, abs=1e-4)
 
     def test_warp_recovery(self, grid500):
         f = refit_on_grid(0, grid500, sine_shape(grid500.points**1.2))
         g = refit_on_grid(1, grid500, sine_shape(grid500.points))
-        entry = optimize_warping(f, g, 0.0)
+        entry = similarity(f, g, 0.0)
         assert entry.rho >= 0.99
         assert np.abs(entry.warp.forward(CHECK) - CHECK**1.2).max() <= 0.02
 
     def test_large_penalty_forces_identity(self, grid200):
         f = refit_on_grid(0, grid200, sine_shape(grid200.points**1.3))
         g = refit_on_grid(1, grid200, sine_shape(grid200.points))
-        warp = optimize_warping(f, g, 1e3).warp
+        warp = similarity(f, g, 1e3).warp
         assert np.abs(warp.forward(CHECK) - CHECK).max() <= 0.01
 
     def test_never_below_identity_alignment(self, grid200):
@@ -193,12 +195,12 @@ class TestOptimizeWarping:
         g = refit_on_grid(1, grid200, np.cos(2 * np.pi * grid200.points**2))
         for lambda0 in (0.0, 0.5, 2.0):
             identity_value = rho_parts(f, g, identity_warp(), lambda0).rho
-            assert optimize_warping(f, g, lambda0).rho >= identity_value - 1e-9
+            assert similarity(f, g, lambda0).rho >= identity_value - 1e-9
 
     def test_returned_value_matches_fixed_warp_evaluation(self, grid200):
         f = refit_on_grid(0, grid200, sine_shape(grid200.points**0.8))
         g = refit_on_grid(1, grid200, sine_shape(grid200.points))
-        entry = optimize_warping(f, g, 0.25)
+        entry = similarity(f, g, 0.25)
         again = rho_parts(f, g, entry.warp, 0.25)
         assert abs(again.rho - entry.rho) <= 1e-10
 
@@ -206,7 +208,7 @@ class TestOptimizeWarping:
         f = refit_on_grid(0, grid200, sine_shape(grid200.points**1.1))
         g = refit_on_grid(1, grid200, sine_shape(grid200.points))
         monkeypatch.setattr(warping, "_BUDGET_PER_START", 50)
-        rho = optimize_warping(f, g, 0.0).rho
+        rho = similarity(f, g, 0.0).rho
         assert rho >= rho_parts(f, g, identity_warp(), 0.0).rho - 1e-9
 
 
@@ -220,8 +222,9 @@ def _reference_coefficients_from_raw(raw, greville_steps):
     return coef
 
 
-def _reference_proxy_objective(f, g, lambda0, ws):
-    """The proxy objective as first written, one numpy call per step.
+def _reference_proxy_objective(f, g, lambda0):
+    """The proxy objective as first written, one numpy call per step, on the
+    grid's cached warp designs.
 
     Kept verbatim as the reference the lean objective must reproduce bit for
     bit.
@@ -231,7 +234,9 @@ def _reference_proxy_objective(f, g, lambda0, ws):
     f_centered = fs - w @ fs
     f_norm = np.sqrt(w @ (f_centered * f_centered))
     g_bspline = g.spline
-    basis, deriv, steps = ws.basis, ws.deriv, warping._GREVILLE_STEPS
+    basis = grid_basis(f.grid, warping.WARP_DEGREE, warping.WARP_INTERIOR)
+    deriv = grid_derivative_basis(f.grid, warping.WARP_DEGREE, warping.WARP_INTERIOR)
+    steps = warping._GREVILLE_STEPS
 
     def objective(raw: np.ndarray) -> float:
         coef = _reference_coefficients_from_raw(raw, steps)
@@ -295,7 +300,7 @@ def _reference_final_points(pairs, lambda0):
     starts, _ = warping._start_points()
     finals = []
     for f, g in pairs:
-        objective = _reference_proxy_objective(f, g, lambda0, warping._workspace(f.grid))
+        objective = _reference_proxy_objective(f, g, lambda0)
         finals.append([_reference_budgeted_nelder_mead(objective, raw) for raw in starts])
     return finals
 
@@ -364,8 +369,7 @@ class TestProxyObjectiveIdentity:
         rng = np.random.default_rng(20)
         f = random_smooth_curve(0, grid, rng)
         g = random_smooth_curve(1, grid, rng)
-        ws = warping._workspace(grid)
-        references = [_reference_proxy_objective(a, b, lambda0, ws) for a, b in ((f, g), (g, f))]
+        references = [_reference_proxy_objective(a, b, lambda0) for a, b in ((f, g), (g, f))]
 
         n_raw = n_raw_params()
         raws = rng.normal(0.0, 1.0, (2400, n_raw)) * rng.uniform(0.01, 3.0, (2400, 1))
@@ -404,7 +408,7 @@ class TestProxyObjectiveIdentity:
         ]
         for f, g, lambda0 in pairs:
             (finals,) = _reference_final_points([(f, g)], lambda0)
-            entry = optimize_warping(f, g, lambda0)
+            entry = similarity(f, g, lambda0)
             ref = _reference_rescore(f, g, lambda0, finals)
             assert _entry_bytes(entry) == _entry_bytes(ref)
 
@@ -492,7 +496,7 @@ class TestLockstepSearch:
         rng = np.random.default_rng(27)
         f, g = random_smooth_curve(0, grid100, rng), random_smooth_curve(1, grid100, rng)
         calls = []
-        objective = _reference_proxy_objective(f, g, 0.5, warping._workspace(grid100))
+        objective = _reference_proxy_objective(f, g, 0.5)
 
         def counted(raw):
             calls.append(raw)
@@ -696,6 +700,7 @@ class TestHelperProcesses:
             "import os, signal, sys\n"
             "import numpy as np\n"
             "from curveclust import warping\n"
+            "from curveclust.similarity import similarity\n"
             "from curveclust.curves import refit_on_grid\n"
             "from curveclust.splines import uniform_grid\n"
             "fd, caller = int(sys.argv[1]), os.getpid()\n"
@@ -714,7 +719,7 @@ class TestHelperProcesses:
             "grid = uniform_grid(100)\n"
             "f = refit_on_grid(0, grid, np.sin(2 * np.pi * grid.points))\n"
             "g = refit_on_grid(1, grid, np.sin(2 * np.pi * grid.points ** 1.2))\n"
-            "warping.optimize_warping(f, g, 0.0)\n"
+            "similarity(f, g, 0.0)\n"
         )
         src = str(Path(curveclust.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -904,7 +909,7 @@ class TestBuildHelpers:
         spare_cpus(2)
         for build in (
             lambda: similarity(curves[0], other, 0.5),
-            lambda: optimize_warping(other, curves[1], 0.5),
+            lambda: similarity(other, curves[1], 0.5),
             lambda: similarity_matrix([*curves, other], 0.5),
             lambda: similarity_matrix([*curves, other], 0.5, cache=PairCache()),
         ):
@@ -927,7 +932,7 @@ class TestScoredWhereSearched:
     @staticmethod
     def _entries(pairs, lambda0):
         rows = warping.final_points(pairs, lambda0)
-        picked = [optimize_warping(f, g, lambda0, r) for (f, g), r in zip(pairs, rows)]
+        picked = [warping.optimize_warping(r) for r in rows]
         reference = [
             _reference_rescore(f, g, lambda0, r["final"]) for (f, g), r in zip(pairs, rows)
         ]
@@ -972,7 +977,7 @@ class TestScoredWhereSearched:
 
         def back_at_starts(values, x0s):
             result = search(values, x0s)
-            if returned == "all":  # only the starts are candidates: one of them wins
+            if returned == "all":  # every final equals a start: a start wins
                 result.x[:] = x0s
             else:
                 result.x[0] = x0s[0]  # a final equal to its own start
@@ -1006,6 +1011,30 @@ class TestScoredWhereSearched:
         assert picked == reference == serial
 
 
+class TestNoScorableCandidate:
+    """A pair none of whose starts and final points could be scored exactly
+    is degenerate data, not a crash."""
+
+    @pytest.fixture()
+    def curves(self, grid100):
+        rng = np.random.default_rng(38)
+        return [random_smooth_curve(i, grid100, rng) for i in range(3)]
+
+    def test_similarity_and_matrix_raise(self, curves, spare_cpus, monkeypatch):
+        def out_of_range(*args):
+            raise WarpRangeError("forced")
+
+        monkeypatch.setattr(warping, "rho_parts", out_of_range)
+        spare_cpus(1)  # the helper is forked after the patch and sees it too
+        with _time_limit(60):
+            with pytest.raises(DegenerateDataError, match="no warp of the pair"):
+                similarity(curves[0], curves[1], 0.5)
+            for cache in (None, PairCache()):
+                with pytest.raises(DegenerateDataError, match="no warp of the pair"):
+                    similarity_matrix(curves, 0.5, cache=cache)
+                assert cache is None or cache.get(curves[0], curves[1], 0.5) is None
+
+
 class TestGridParts:
     """What rho_parts needs of a warp alone is computed once per grid, kept
     read-only on the warp, and equals a fresh computation."""
@@ -1035,6 +1064,22 @@ class TestGridParts:
                     twice = [rho_parts(f, g, warp, lambda0) for _ in range(2)]
                     want = _entry_bytes(_reference_rho_parts(f, g, warp, lambda0))
                     assert [_entry_bytes(e) for e in twice] == [want, want]
+
+    @pytest.mark.parametrize("grid_fixture", ["grid100", "grid500"])
+    def test_start_warp_scores_equal_a_fresh_warp_of_the_start(self, grid_fixture, request):
+        # what lets the pick keep a final point equal to a start: its fresh
+        # warp scores exactly as the shared start warp, so it never wins
+        grid = request.getfixturevalue(grid_fixture)
+        rng = np.random.default_rng(39)
+        curves = [random_smooth_curve(i, grid, rng) for i in range(3)]
+        starts, start_warps = warping._start_points()
+        for raw, shared in zip(starts, start_warps):
+            fresh = make_warping(raw.copy())
+            for f, g in ((curves[0], curves[1]), (curves[2], curves[0])):
+                for lambda0 in (0.0, 0.5):
+                    assert _entry_bytes(rho_parts(f, g, fresh, lambda0)) == _entry_bytes(
+                        rho_parts(f, g, shared, lambda0)
+                    )
 
     def test_parts_are_kept_per_grid(self, grid100, grid500):
         warp = make_warping(np.random.default_rng(37).normal(0.0, 0.5, n_raw_params()))
