@@ -4,21 +4,25 @@ fitting on the unit interval.
 All splines use an open uniform (clamped) knot vector on [0, 1], so the value at
 0 is the first coefficient and the value at 1 is the last one.  That property is
 what lets warping functions pin their endpoints exactly.
+
+scipy is used only through its compiled module `scipy.interpolate._dierckx`,
+loaded from its file without running scipy's package initializers (importing
+`scipy.interpolate` would load `scipy.optimize`, `scipy.sparse` and
+`scipy.linalg` too).  Its `evaluate_spline` and `data_matrix` are the routines
+`BSpline.__call__` and `BSpline.design_matrix` end in, so values and designs
+keep `BSpline`'s bytes.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import BSpline
-
-try:  # the compiled routines that BSpline.__call__ and BSpline.design_matrix end in
-    from scipy.interpolate._dierckx import data_matrix as _compiled_basis_rows
-    from scipy.interpolate._dierckx import evaluate_spline as _compiled_spline_values
-except ImportError:  # a scipy without them: go through BSpline's methods
-    _compiled_basis_rows = _compiled_spline_values = None
 
 from .errors import (
     InvalidInputError,
@@ -31,6 +35,37 @@ from .errors import (
 MAX_CONDITION = 1e12
 
 _EDGE_TOL = 1e-9
+
+_COMPILED = "scipy.interpolate._dierckx"
+
+
+def _compiled_splines():
+    """scipy's compiled spline module, as already imported or else from its
+    file.  It is put in `sys.modules`, so a later `import scipy.interpolate`
+    uses this module object instead of loading the extension again."""
+    module = sys.modules.get(_COMPILED)
+    if module is None:
+        spec = importlib.util.find_spec("scipy")  # a top-level find imports nothing
+        paths = (
+            os.path.join(folder, "interpolate", "_dierckx" + suffix)
+            for folder in (spec and spec.submodule_search_locations) or ()
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES
+        )
+        path = next(filter(os.path.isfile, paths), None)
+        if path is not None:
+            spec = importlib.util.spec_from_file_location(_COMPILED, path)
+            module = sys.modules[_COMPILED] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+    if not (hasattr(module, "evaluate_spline") and hasattr(module, "data_matrix")):
+        raise ImportError(
+            f"curveclust needs {_COMPILED} with evaluate_spline and data_matrix "
+            "(scipy >= 1.15)",
+            name=_COMPILED,
+        )
+    return module
+
+
+_compiled = _compiled_splines()
 
 
 @dataclass(frozen=True)
@@ -120,16 +155,12 @@ def spline_evaluator(spline: "SplineRep"):
     (about 5 us of a 100-point call).
     """
     t, k = spline.knots, spline.degree
-    if _compiled_spline_values is None:
-        # clamped knots and float coefficients pass BSpline's validating
-        # constructor unchanged, so it is skipped
-        return BSpline.construct_fast(t, spline.coefficients, k, extrapolate=False)
     c = np.ascontiguousarray(spline.coefficients).reshape(-1, 1)
 
     def values(x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         flat = np.ascontiguousarray(x.ravel())
-        return _compiled_spline_values(t, c, k, flat, 0, False).reshape(x.shape)
+        return _compiled.evaluate_spline(t, c, k, flat, 0, False).reshape(x.shape)
 
     return values
 
@@ -180,9 +211,7 @@ def basis_matrix(x, degree: int, interior_knots) -> np.ndarray:
         raise InvalidInputError("evaluation points must lie in [0, 1]")
     pts = np.clip(pts, 0.0, 1.0)
     t = knot_vector(degree, interior)
-    if _compiled_basis_rows is None:
-        return BSpline.design_matrix(pts, t, degree).toarray()
-    rows, first, _ = _compiled_basis_rows(pts, t, degree, np.ones_like(pts), False)
+    rows, first, _ = _compiled.data_matrix(pts, t, degree, np.ones_like(pts), False)
     dense = np.zeros((len(pts), len(t) - degree - 1))
     dense[np.arange(len(pts))[:, None], first[:, None] + np.arange(degree + 1)] += rows
     return dense

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
+import curveclust
 from curveclust import splines
 from curveclust.errors import (
     InvalidInputError,
@@ -216,10 +222,8 @@ class TestSplineEvaluator:
         warp = make_warping(rng.normal(0.0, 0.5, n_raw_params()))
         return [shape, warp.forward, warp.inverse, derivative(warp.forward)]
 
-    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "fallback"])
-    def test_byte_equal_to_bspline_call(self, compiled, monkeypatch):
-        if not compiled:
-            monkeypatch.setattr(splines, "_compiled_spline_values", None)
+    @pytest.mark.parametrize("compiled", [True], ids=["compiled"])
+    def test_byte_equal_to_bspline_call(self, compiled):
         rng = np.random.default_rng(32)
         points = [
             np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 98)]),  # 1-D
@@ -258,10 +262,8 @@ class TestCompiledPaths:
                 x = np.concatenate([[0.0, 1.0], interior, rng.uniform(0.0, 1.0, 40)])
                 yield degree, interior, x, rng.normal(size=n_basis(degree, interior))
 
-    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "fallback"])
-    def test_basis_matrix_byte_equal_to_design_matrix(self, compiled, monkeypatch):
-        if not compiled:
-            monkeypatch.setattr(splines, "_compiled_basis_rows", None)
+    @pytest.mark.parametrize("compiled", [True], ids=["compiled"])
+    def test_basis_matrix_byte_equal_to_design_matrix(self, compiled):
         for degree, interior, x, _ in self._cases():
             t = np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
             want = BSpline.design_matrix(x, t, degree).toarray()
@@ -275,6 +277,71 @@ class TestCompiledPaths:
             der = derivative(spline)
             assert der.degree == degree - 1
             assert der.coefficients.tobytes() == want.tobytes()
+
+
+class TestImportFootprint:
+    """`import curveclust` loads scipy's compiled spline module alone, not
+    the `scipy.interpolate` package around it."""
+
+    @staticmethod
+    def _run(script, *path):
+        src = str(Path(curveclust.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([*path, src])}
+        return subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    def test_only_the_compiled_module_of_scipy_is_loaded(self):
+        script = (
+            "import sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import curveclust\n"
+            "print(scipy_modules())\n"
+            "from curveclust.cli import main\n"
+            "try:\n"
+            "    main(['--help'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(scipy_modules())\n"
+        )
+        run = self._run(script)
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.strip().splitlines()
+        assert lines[0] == lines[-1] == "['scipy.interpolate._dierckx']"
+
+    @pytest.mark.parametrize("scipy_first", [True, False], ids=["scipy-first", "curveclust-first"])
+    def test_either_import_order_keeps_bspline_bytes(self, scipy_first):
+        imports = ["import scipy.interpolate", "from curveclust import splines"]
+        script = "\n".join(
+            (imports if scipy_first else imports[::-1])
+            + [
+                "import sys",
+                "import numpy as np",
+                "from scipy.interpolate import BSpline",
+                "assert splines._compiled is sys.modules['scipy.interpolate._dierckx']",
+                "rng = np.random.default_rng(34)",
+                "interior = splines.uniform_interior_knots(16)",
+                "x = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 200)])",
+                "spline = splines.SplineRep(3, interior, rng.normal(size=20))",
+                "want = BSpline(spline.knots, spline.coefficients, 3, extrapolate=False)(x)",
+                "assert spline(x).tobytes() == want.tobytes()",
+                "want = BSpline.design_matrix(x, spline.knots, 3).toarray()",
+                "assert splines.basis_matrix(x, 3, interior).tobytes() == want.tobytes()",
+            ]
+        )
+        run = self._run(script)
+        assert run.returncode == 0, run.stderr
+
+    def test_a_scipy_without_the_compiled_module_is_named(self, tmp_path):
+        (tmp_path / "scipy" / "interpolate").mkdir(parents=True)
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        (tmp_path / "scipy" / "interpolate" / "__init__.py").write_text("")
+        run = self._run("import curveclust", str(tmp_path))
+        assert run.returncode != 0
+        last = run.stderr.strip().splitlines()[-1]
+        assert last.startswith("ImportError:")
+        assert "scipy.interpolate._dierckx" in last and "scipy >= 1.15" in last
 
 
 class TestDerivative:
