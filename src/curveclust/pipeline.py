@@ -1,6 +1,13 @@
 """The iterative clustering driver: per-threshold combine/update loops
 producing candidate partitions, and final selection by the clustering index
-computed on the original curves."""
+computed on the original curves.
+
+The four threshold loops share only the pair cache, and they run in lockstep
+rounds: each round searches the uncached pairs of every matrix the loops wait
+on in one build, so one set of helper processes serves all four loops.  Each
+loop computes what it would compute alone, in the same order; see the
+`similarity` module for the one way the round order can reach a pair's
+entry."""
 
 from __future__ import annotations
 
@@ -20,7 +27,7 @@ from .combining import (
 from .curves import Curve, smooth_curve
 from .errors import DegenerateDataError, InvalidInputError
 from .indices import DistanceMatrix, distances_from_similarity, index_function
-from .similarity import PairCache, SimilarityMatrix, similarity_matrix
+from .similarity import PairCache, SimilarityMatrix, search_uncached, similarity_matrix
 from .splines import DEFAULT_SPLINES, SplineSettings, check_time_points, uniform_grid
 from .updating import update_all, weight_exponent
 from .warping import check_lambda0, warp_samples
@@ -144,9 +151,11 @@ class _Shared:
         return value if math.isfinite(value) else -math.inf
 
 
-def run_single_threshold(shared: _Shared, c_star: float):
-    """One combine/update loop at a fixed threshold; returns the candidate
-    records and the iteration log, one entry per iteration used."""
+def _threshold_loop(shared: _Shared, c_star: float):
+    """One combine/update loop at a fixed threshold, as a generator: it yields
+    each curve list whose similarity matrix it needs, is sent that matrix,
+    and returns the candidate records and the iteration log, one entry per
+    iteration used."""
     config = shared.config
     curves = list(shared.originals)
     matrix = shared.matrix
@@ -198,10 +207,10 @@ def run_single_threshold(shared: _Shared, c_star: float):
             if len(curves) == 1:
                 log.append(IterationLog(iteration, 1.0, n_comb))
                 break
-            matrix = shared.build_matrix(curves)
+            matrix = yield curves
 
         curves = update_all(curves, matrix, config.lambda0, shared.tau, config.splines)
-        matrix = shared.build_matrix(curves)
+        matrix = yield curves
         mean = matrix.mean_rho()
         log.append(IterationLog(iteration, mean, n_comb))
         if abs(mean - prev_mean) < STABILITY_TOL:
@@ -225,6 +234,47 @@ def run_single_threshold(shared: _Shared, c_star: float):
     return records, log
 
 
+def _run_loops(shared: _Shared, thresholds) -> list:
+    """The loops of `thresholds` (`_threshold_loop`) in lockstep rounds; the
+    (records, log) of each, in threshold order.
+
+    Each round collects the curve list that every unfinished loop waits on,
+    in threshold order, searches the uncached pairs of all of them in one
+    build (`search_uncached`), then sends each loop, in threshold order, its
+    matrix, whose pairs are all cached by then.  If a loop or a build raises,
+    the other loops are closed and the error propagates.
+    """
+    loops = [_threshold_loop(shared, c_star) for c_star in thresholds]
+    outcomes = [None] * len(loops)
+    waiting = {}  # loop index -> the curves it waits on, in threshold order
+
+    def advance(i, matrix):
+        try:
+            waiting[i] = loops[i].send(matrix)
+        except StopIteration as done:
+            outcomes[i] = done.value
+
+    try:
+        for i in range(len(loops)):
+            advance(i, None)
+        while waiting:
+            requests, waiting = waiting, {}
+            search_uncached(requests.values(), shared.config.lambda0, shared.cache)
+            for i, curves in requests.items():
+                advance(i, shared.build_matrix(curves))
+    finally:
+        for loop in loops:
+            loop.close()
+    return outcomes
+
+
+def run_single_threshold(shared: _Shared, c_star: float):
+    """One combine/update loop at a fixed threshold; returns the candidate
+    records and the iteration log, one entry per iteration used."""
+    ((records, log),) = _run_loops(shared, [c_star])
+    return records, log
+
+
 def _final_warps(partition: Partition, shared: _Shared):
     """Warp samples (101 points) aligning each original curve to its group's
     reference curve; identity for references and singletons."""
@@ -238,17 +288,17 @@ def _final_warps(partition: Partition, shared: _Shared):
 
 
 def run(curves: List[Curve], config: RunConfig) -> RunResult:
-    """Full pipeline: one combine/update loop per threshold, then pick the
-    candidate with the best index on the original curves (ties: fewer groups,
-    then smaller threshold)."""
+    """Full pipeline: one combine/update loop per threshold, all four in
+    lockstep (`_run_loops`), then pick the candidate with the best index on
+    the original curves (ties: fewer groups, then smaller threshold)."""
     if len(curves) < 2:
         raise InvalidInputError("need at least 2 curves to cluster")
     shared = _Shared(curves, config)
     thresholds = combination_thresholds(shared.matrix.values(), config.quantile_a)
     all_records: List[CandidateRecord] = []
     logs: Dict[float, List[IterationLog]] = {}
-    for c_star in thresholds:
-        records, logs[c_star] = run_single_threshold(shared, c_star)
+    for c_star, (records, log) in zip(thresholds, _run_loops(shared, thresholds)):
+        logs[c_star] = log
         all_records.extend(records)
 
     winner = sorted(

@@ -3,10 +3,21 @@ time-variation penalty, symmetrized over direction, with matrix-level caching.
 
 `similarity` maximizes it for one pair and `similarity_matrix` for every
 pair of a collection, both through one build (`warping.final_points`) and a
-pick per pair (`warping.optimize_warping`).  One warp is optimized per
-unordered pair; the opposite order reads the same warp with its forward and
-inverse splines swapped, so the stored similarity is symmetric by
-construction.
+pick per pair (`warping.optimize_warping`); `search_uncached` makes one build
+for the uncached pairs of several collections at once.  One warp is
+optimized per unordered pair of curve contents; the opposite order reads the
+same warp with its forward and inverse splines swapped, so the stored
+similarity is symmetric by construction.
+
+Which way a pair is searched is fixed by the first request for its contents:
+the lower id first, in the first collection of the first build that holds
+it.  Searching (g, f) instead of (f, g) can give other bytes, so an entry
+depends on the order of the builds that could first hold it.  The clustering
+pipeline builds once per round for all its threshold loops, so a later
+threshold may search a pair before an earlier one asks for it.  That changes
+bytes only if two loops hold the same two contents under opposite id orders,
+and since contents exclude ids and a combined curve takes its group's
+smallest id, only two histories giving bit-identical samples can do that.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ __all__ = [
     "SimilarityMatrix",
     "PairCache",
     "rho_given_psi",
+    "search_uncached",
     "similarity",
     "similarity_matrix",
 ]
@@ -98,29 +110,42 @@ class SimilarityMatrix:
         return float(np.mean(self.values()))
 
 
+def _pairs(curves) -> list:
+    """Every unordered pair of `curves`, in id order: (f, g) with f.id < g.id."""
+    curves = sorted(curves, key=lambda c: c.id)
+    return [(f, g) for i, f in enumerate(curves) for g in curves[i + 1 :]]
+
+
+def search_uncached(curve_lists, lambda0: float, cache: PairCache) -> None:
+    """Compute and store in `cache` the entry of every pair of each curve
+    list that `cache` lacks.
+
+    The uncached pairs, each pair of curve contents once in either order, are
+    collected in list order and, within a list, in pair order; they go
+    through one search (`final_points`: one set of helper processes for the
+    whole build, each process scoring the candidates it searched), and each
+    pair's warp is then picked from its rows in that order.
+    """
+    uncached = {}  # one pair per pair of curve contents
+    for curves in curve_lists:
+        for f, g in _pairs(curves):
+            key = (f.content_key, g.content_key)
+            if key[::-1] not in uncached and cache.get(f, g, lambda0) is None:
+                uncached.setdefault(key, (f, g))
+    todo = list(uncached.values())
+    for (f, g), rows in zip(todo, final_points(todo, lambda0)):
+        cache.put(f, g, lambda0, optimize_warping(rows))
+
+
 def similarity_matrix(
     curves, lambda0: float, cache: Optional[PairCache] = None
 ) -> SimilarityMatrix:
     """Fetch from `cache` (a fresh one when none is given), or compute and
-    store there, the entry of every unordered pair.
-
-    The uncached pairs, each pair of curve contents once in either order, go
-    through one search (`final_points`: one set of helper processes for the
-    whole build, each process scoring the candidates it searched), and each
-    pair's warp is then picked from its rows in pair order.
-    """
+    store there (`search_uncached`), the entry of every unordered pair."""
     cache = PairCache() if cache is None else cache
     curves = sorted(curves, key=lambda c: c.id)
     if len(curves) < 2:
         raise InvalidInputError("need at least 2 curves for a similarity matrix")
-    pairs = [(f, g) for i, f in enumerate(curves) for g in curves[i + 1 :]]
-    uncached = {}  # one pair per pair of curve contents
-    for f, g in pairs:
-        key = (f.content_key, g.content_key)
-        if key[::-1] not in uncached and cache.get(f, g, lambda0) is None:
-            uncached.setdefault(key, (f, g))
-    todo = list(uncached.values())
-    for (f, g), rows in zip(todo, final_points(todo, lambda0)):
-        cache.put(f, g, lambda0, optimize_warping(rows))
-    entries = {(f.id, g.id): cache.get(f, g, lambda0) for f, g in pairs}
+    search_uncached([curves], lambda0, cache)
+    entries = {(f.id, g.id): cache.get(f, g, lambda0) for f, g in _pairs(curves)}
     return SimilarityMatrix(entries, [c.id for c in curves])

@@ -65,10 +65,12 @@ _SIMPLEX_STEP = 0.3
 _XATOL = 1e-7
 _FATOL = 1e-12
 
-# Grid values per row set of one batched objective call: a process's share
-# of a build is searched in blocks of at most this many // grid points rows,
-# so that the per-row arrays of a call stay in cache.
-_BLOCK_VALUES = 32_768
+# Grid values per block of one batched objective call: a process's share of
+# a build is split into the fewest blocks of at most this many // grid points
+# rows, their sizes at most one row apart.  A call's 20 or so row-by-grid
+# temporaries then stay within a 2 MB L2 cache, and a lone pair's 5 rows at
+# grid 500 stay one block (README "Performance" has the sweep behind 4,096).
+_BLOCK_VALUES = 4_096
 
 
 @dataclass(eq=False)
@@ -553,20 +555,23 @@ def _run_units(pairs, lambda0, units, out) -> None:
     warp and its final point's warp exactly, and write both into the unit's
     row of `out` (`_UNIT`).
 
-    The units, pair-major, are searched in blocks of at most
-    `_BLOCK_VALUES // grid points`, each block by one `minimize` call over the
-    pairs its units hold.  A warp that is numerically flat (MonotonicityError),
-    leaves the unit interval (WarpRangeError) or makes a curve constant
-    (ZeroVarianceError) is left unscored.
+    The units, pair-major, are searched in the fewest blocks of at most
+    `_BLOCK_VALUES // grid points` units whose sizes differ by at most one,
+    each block by one `minimize` call over the pairs its units hold; a row's
+    bytes do not depend on its block.  A warp that is numerically flat
+    (MonotonicityError), leaves the unit interval (WarpRangeError) or makes a
+    curve constant (ZeroVarianceError) is left unscored.
     """
     starts, start_warps = _start_points()
-    block = max(_BLOCK_VALUES // len(pairs[0][0].grid), 1)
-    for first in range(0, len(units), block):
-        chunk = units[first : first + block]
+    limit = max(_BLOCK_VALUES // len(pairs[0][0].grid), 1)
+    n_blocks = math.ceil(len(units) / limit)
+    bounds = [len(units) * b // n_blocks for b in range(n_blocks + 1)]
+    for first, stop in zip(bounds, bounds[1:]):
+        chunk = units[first:stop]
         low = chunk[0][0]
         row_pairs = np.array([p - low for p, _ in chunk])
         values = _proxy_values(pairs[low : chunk[-1][0] + 1], lambda0, row_pairs)
-        rows = out[first : first + block]
+        rows = out[first:stop]
         rows["final"] = minimize(values, np.array([starts[s] for _, s in chunk])).x
         for (p, s), row in zip(chunk, rows):
             f, g = pairs[p]

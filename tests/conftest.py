@@ -1,3 +1,5 @@
+import os
+
 import hypothesis
 import numpy as np
 import pytest
@@ -26,6 +28,12 @@ def grid200():
 @pytest.fixture(scope="session")
 def grid100():
     return uniform_grid(100)
+
+
+def assert_no_child():
+    """This process has no child process left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def identity_warp():

@@ -1,6 +1,11 @@
+import importlib
+import inspect
+
 import numpy as np
 import pytest
 
+from curveclust import pipeline
+from curveclust.combining import Partition
 from curveclust.curves import refit_on_grid, smooth_curve
 from curveclust.errors import DegenerateDataError, InvalidInputError
 from curveclust.pipeline import (
@@ -11,10 +16,14 @@ from curveclust.pipeline import (
     run,
     run_single_threshold,
 )
+from curveclust.io import result_json
 from curveclust.simulation import Scenario, generate
 from curveclust.splines import uniform_grid
 
-from .conftest import bump_shape, sine_shape
+from .conftest import assert_no_child, bump_shape, sine_shape
+
+# the package re-exports the function `similarity` under the module's name
+similarity = importlib.import_module("curveclust.similarity")
 
 
 class TestCombinationThresholds:
@@ -191,3 +200,172 @@ class TestRun:
         for samples in result.warps.values():
             assert len(samples) == 101
             assert samples[0] == [0.0, 0.0] and samples[-1] == [1.0, 1.0]
+
+
+def _sequential_loop(shared, c_star):
+    """The combine/update loop of one threshold as it ran before the four
+    loops ran in lockstep, kept as the reference: it builds each matrix itself
+    through `shared.build_matrix` and returns (records, log)."""
+    config = shared.config
+    curves = list(shared.originals)
+    matrix = shared.matrix
+    prev_mean = matrix.mean_rho()
+    records = []
+    seen = set()
+    log = []
+
+    def score_original(groups):
+        return shared.score([set(g) for g in groups], shared.original_dist)
+
+    for iteration in range(1, config.max_iterations + 1):
+        bank = {c.id: c for c in curves}
+        members_of = {i: c.members for i, c in bank.items()}
+        dist_current = pipeline.distances_from_similarity(matrix)
+
+        def nu_updated(groups):
+            return shared.score(groups, dist_current)
+
+        def nu0(groups):
+            return score_original(
+                [set().union(*(members_of[c] for c in g)) for g in groups]
+            )
+
+        partial = pipeline.assign_groups(list(bank), matrix, c_star, nu_updated)
+        n_comb = len(partial.groups)
+        if n_comb:
+            part = pipeline.candidate_partition(partial, matrix, c_star, nu0, members_of)
+            key = frozenset(part.groups)
+            if key not in seen:
+                seen.add(key)
+                records.append(
+                    pipeline.CandidateRecord(
+                        partition=part,
+                        score=score_original(part.groups),
+                        threshold=c_star,
+                        iteration=iteration,
+                    )
+                )
+            reps = [
+                pipeline.combine_group(g, bank, matrix, settings=config.splines)
+                for g in partial.groups
+            ]
+            curves = sorted(
+                reps + [bank[u] for u in partial.unassigned], key=lambda c: c.id
+            )
+            if len(curves) == 1:
+                log.append(pipeline.IterationLog(iteration, 1.0, n_comb))
+                break
+            matrix = shared.build_matrix(curves)
+
+        curves = pipeline.update_all(curves, matrix, config.lambda0, shared.tau, config.splines)
+        matrix = shared.build_matrix(curves)
+        mean = matrix.mean_rho()
+        log.append(pipeline.IterationLog(iteration, mean, n_comb))
+        if abs(mean - prev_mean) < pipeline.STABILITY_TOL:
+            break
+        prev_mean = mean
+
+    if not records:
+        singles = Partition(groups=tuple(frozenset([c.id]) for c in shared.originals))
+        records = [
+            pipeline.CandidateRecord(
+                partition=singles,
+                score=score_original(singles.groups),
+                threshold=c_star,
+                iteration=len(log),
+            )
+        ]
+    return records, log
+
+
+def _sequential(shared, thresholds):
+    """Each threshold's loop alone, in threshold order."""
+    return [_sequential_loop(shared, c_star) for c_star in thresholds]
+
+
+def _recorded_builds(monkeypatch):
+    """Events of a run from now on: "round" for each lockstep round's search
+    and "search" for each `final_points` call that searches some pair."""
+    events = []
+    search, rounds = similarity.final_points, pipeline.search_uncached
+
+    def searched(pairs, lambda0):
+        if pairs:
+            events.append("search")
+        return search(pairs, lambda0)
+
+    def round_searched(curve_lists, lambda0, cache):
+        events.append("round")
+        return rounds(curve_lists, lambda0, cache)
+
+    monkeypatch.setattr(similarity, "final_points", searched)
+    monkeypatch.setattr(pipeline, "search_uncached", round_searched)
+    return events
+
+
+def _design(seed, **config):
+    """Two groups of three noisy curves, grid 100, lambda0 0.5, at most 4
+    iterations unless `config` says otherwise."""
+    sc = Scenario(shapes=("f1", "f2"), warp="power", alphas=(0.9, 1.1),
+                  sizes=(3, 3), sigma=0.1, n_points=80, seed=seed)
+    data = generate(sc)
+    config = tiny_run_config(lambda0=0.5, **config)
+    return prepare_curves(data.points, data.samples, config), config
+
+
+class TestLockstepLoops:
+    """The four threshold loops in lockstep rounds give what each loop gives
+    alone, in threshold order, byte for byte, with one search per round."""
+
+    @pytest.mark.parametrize(
+        "seed, config, combinations",
+        [
+            # the last threshold's loop ends after one round, the others run on
+            (5, {}, [[2, 0, 0, 0]] * 3 + [[2]]),
+            (2, {"index": "dunn"}, [[2, 0, 0, 0]] * 2 + [[2, 1, 0, 0], [2, 0, 0, 0]]),
+            (9, {"max_iterations": 2}, [[2, 0]] * 2 + [[2, 1], [2, 0]]),
+        ],
+        ids=["diverging", "dunn", "two-iterations"],
+    )
+    def test_same_bytes_as_sequential_loops(self, monkeypatch, seed, config, combinations):
+        curves, config = _design(seed, **config)
+        names = [f"c{c.id}" for c in curves]
+        events = _recorded_builds(monkeypatch)
+        lockstep = run(curves, config)
+        lockstep_events = events[:]
+        events.clear()
+        monkeypatch.setattr(pipeline, "_run_loops", _sequential)
+        sequential = run(curves, config)
+        assert result_json(lockstep, names) == result_json(sequential, names)
+        assert lockstep.logs == sequential.logs
+        assert [
+            [entry.combinations for entry in log] for log in lockstep.logs.values()
+        ] == combinations
+        # the initial build searches, then only each round's one build does
+        assert lockstep_events[0] == "search"
+        pairs = zip(lockstep_events, lockstep_events[1:])
+        assert all(before == "round" for before, event in pairs if event == "search")
+        assert lockstep_events.count("search") < events.count("search")
+
+    def test_loop_raising_mid_run_closes_every_loop(self, monkeypatch):
+        curves, config = _design(5)
+        updates, loops = [], []
+        update, loop = pipeline.update_all, pipeline._threshold_loop
+
+        def third_update_fails(*args, **kwargs):
+            updates.append(None)
+            if len(updates) == 3:
+                raise DegenerateDataError("third update")
+            return update(*args, **kwargs)
+
+        def recorded_loop(shared, c_star):
+            loops.append(loop(shared, c_star))
+            return loops[-1]
+
+        monkeypatch.setattr(pipeline, "update_all", third_update_fails)
+        monkeypatch.setattr(pipeline, "_threshold_loop", recorded_loop)
+        with pytest.raises(DegenerateDataError, match="third update"):
+            run(curves, config)
+        assert len(loops) == 4
+        assert [inspect.getgeneratorstate(g) for g in loops] == [inspect.GEN_CLOSED] * 4
+        assert_no_child()

@@ -56,7 +56,7 @@ from curveclust.warping import (
     roughness_penalty,
 )
 
-from .conftest import identity_warp, random_smooth_curve, sine_shape
+from .conftest import assert_no_child, identity_warp, random_smooth_curve, sine_shape
 
 CHECK = np.linspace(0.0, 1.0, 257)
 
@@ -564,11 +564,6 @@ def _search_that(caller_raises=False, helper_dies=False, helper_killed=False):
     return patched
 
 
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @contextlib.contextmanager
 def _time_limit(seconds):
     def on_alarm(signum, frame):
@@ -676,21 +671,21 @@ class TestHelperProcesses:
         spare_cpus(2)
         with _time_limit(60):
             similarity(f, g, lambda0)
-            _assert_no_child()
+            assert_no_child()
             monkeypatch.setattr(warping, "minimize", fails)
             with pytest.raises(RuntimeError):
                 similarity(f, g, lambda0)
-            _assert_no_child()
+            assert_no_child()
             monkeypatch.setattr(warping, "minimize", dies)
             similarity(f, g, lambda0)
-            _assert_no_child()
+            assert_no_child()
             monkeypatch.undo()
             spare_cpus(2)
             monkeypatch.setattr(os, "fork", second_fork_fails)
             with pytest.raises(OSError):
                 similarity(f, g, lambda0)
             assert len(forked) == 1
-            _assert_no_child()
+            assert_no_child()
 
     def test_helpers_exit_with_a_killed_caller(self):
         read_end, write_end = os.pipe()
@@ -880,14 +875,14 @@ class TestBuildHelpers:
         spare_cpus(2)
         with _time_limit(60):
             similarity_matrix(curves, 0.5)
-            _assert_no_child()
+            assert_no_child()
             monkeypatch.setattr(warping, "minimize", fails)
             with pytest.raises(RuntimeError):
                 similarity_matrix(curves, 0.5)
-            _assert_no_child()
+            assert_no_child()
             monkeypatch.setattr(warping, "minimize", dies)
             similarity_matrix(curves, 0.5)
-            _assert_no_child()
+            assert_no_child()
 
     def test_every_pair_is_checked_before_any_fork(self, curves, spare_cpus, forks):
         flat = refit_on_grid(3, curves[0].grid, np.ones(len(curves[0].grid)))
@@ -916,6 +911,70 @@ class TestBuildHelpers:
             with pytest.raises(InvalidInputError, match="curves must share the same grid"):
                 build()
         assert forks == []
+
+
+def _recorded_block_sizes(monkeypatch, search=None):
+    """The row count of each `minimize` call this process makes from now on;
+    each call runs `search` (the real search when None)."""
+    sizes, search = [], search or warping.minimize
+
+    def recorded(values, x0s):
+        sizes.append(len(x0s))
+        return search(values, x0s)
+
+    monkeypatch.setattr(warping, "minimize", recorded)
+    return sizes
+
+
+class TestBlocks:
+    """A process's share of a build is searched in the fewest blocks that
+    hold at most `_BLOCK_VALUES // grid points` rows, their sizes at most one
+    row apart; a row's bytes do not depend on its block."""
+
+    @pytest.mark.parametrize("grid_fixture", ["grid100", "grid500"])
+    def test_rows_do_not_depend_on_blocks(self, grid_fixture, request, spare_cpus, monkeypatch):
+        grid = request.getfixturevalue(grid_fixture)
+        rng = np.random.default_rng(31)
+        curves = [random_smooth_curve(i, grid, rng) for i in range(3)]
+        pairs = [(curves[0], curves[1]), (curves[2], curves[1])]  # 10 rows
+        spare_cpus(0)
+        sizes = _recorded_block_sizes(monkeypatch)
+        results, blocks = [], []
+        # 1-row blocks, the default (two blocks of 5 at grid 500), one block
+        for values in (1, warping._BLOCK_VALUES, 10**9):
+            monkeypatch.setattr(warping, "_BLOCK_VALUES", values)
+            results.append(warping.final_points(pairs, 0.5).tobytes())
+            blocks.append(sizes[:])
+            sizes.clear()
+        assert results[0] == results[1] == results[2]
+        default = [10] if len(grid) == 100 else [5, 5]
+        assert blocks == [[1] * 10, default, [10]]
+
+    @pytest.mark.parametrize(
+        "values, rows, want",
+        [
+            (400, 10, [3, 3, 4]),  # at most 4 rows: 3 blocks
+            (100, 5, [1] * 5),
+            (1, 5, [1] * 5),  # fewer values than grid points: 1-row blocks
+            (1_000, 45, [9, 9, 9, 9, 9]),
+            (1_000, 35, [8, 9, 9, 9]),
+            (None, 5, [5]),  # the default keeps a lone pair in one block
+        ],
+    )
+    def test_block_sizes(self, grid100, grid500, spare_cpus, monkeypatch, values, rows, want):
+        # the search is skipped (finals at the starts): only the split is tested
+        sizes = _recorded_block_sizes(
+            monkeypatch, lambda values, x0s: warping.SearchResult(np.array(x0s), len(x0s))
+        )
+        grid = grid500 if values is None else grid100
+        if values is not None:
+            monkeypatch.setattr(warping, "_BLOCK_VALUES", values)
+        rng = np.random.default_rng(32)
+        f = random_smooth_curve(0, grid, rng)
+        pairs = [(f, random_smooth_curve(i + 1, grid, rng)) for i in range(rows // 5)]
+        spare_cpus(0)
+        warping.final_points(pairs, 0.5)
+        assert sizes == want
 
 
 class TestScoredWhereSearched:
