@@ -9,10 +9,10 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .curves import Curve
+from .curves import Curve, fit_curve
 from .errors import InvalidInputError
 from .products import sum_in_order
-from .splines import DEFAULT_SPLINES, SplineSettings, evaluate, fit_least_squares
+from .splines import DEFAULT_SPLINES, SplineSettings
 
 
 @dataclass
@@ -154,21 +154,15 @@ def combine_group(
         ys.append(curve.samples)
         ws.append(np.full(len(grid), float(curve.n_orig)))
 
-    spline = fit_least_squares(
+    return fit_curve(
+        min(group),
+        grid,
         np.concatenate(ts),
         np.concatenate(ys),
         np.concatenate(ws),
-        settings.shape_degree,
-        settings.shape_interior(),
-    )
-    members = frozenset().union(*(curves_by_id[m].members for m in group))
-    return Curve(
-        id=min(group),
-        grid=grid,
-        samples=evaluate(spline, grid.points),
-        spline=spline,
+        settings,
         n_orig=sum(curves_by_id[m].n_orig for m in group),
-        members=members,
+        members=frozenset().union(*(curves_by_id[m].members for m in group)),
     )
 
 

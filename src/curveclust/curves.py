@@ -4,7 +4,7 @@ with provenance of which original curves each one aggregates."""
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -45,13 +45,24 @@ class Curve:
         return h.digest()
 
 
-def fit_shape_spline(
-    x, y, settings: SplineSettings = DEFAULT_SPLINES, design=None
-) -> SplineRep:
-    x = np.asarray(x, dtype=float)
-    return fit_least_squares(
-        x, y, np.ones_like(x), settings.shape_degree, settings.shape_interior(), design
+def fit_curve(
+    curve_id: int,
+    grid: Grid,
+    x,
+    y,
+    weights,
+    settings: SplineSettings,
+    n_orig: int,
+    members: frozenset,
+    design=None,
+) -> Curve:
+    """The shape spline fit to (x, y) by weighted least squares, as a curve
+    sampled on `grid`; `design` is the fit's basis matrix when the caller
+    already has it."""
+    spline = fit_least_squares(
+        x, y, weights, settings.shape_degree, settings.shape_interior(), design
     )
+    return Curve(curve_id, grid, evaluate(spline, grid.points), spline, n_orig, members)
 
 
 def refit_on_grid(
@@ -64,14 +75,9 @@ def refit_on_grid(
 ) -> Curve:
     """Project grid values onto the shape-spline space and re-evaluate."""
     design = grid_basis(grid, settings.shape_degree, settings.shape_interior())
-    spline = fit_shape_spline(grid.points, values, settings, design)
-    return Curve(
-        id=curve_id,
-        grid=grid,
-        samples=evaluate(spline, grid.points),
-        spline=spline,
-        n_orig=n_orig,
-        members=members,
+    return fit_curve(
+        curve_id, grid, grid.points, values, np.ones_like(grid.points), settings,
+        n_orig, members, design,
     )
 
 
@@ -94,18 +100,13 @@ def smooth_curve(
             f"curve {curve_id} has values beyond {MAX_MAGNITUDE:g} in magnitude, "
             "where products of samples overflow; rescale the data"
         )
-    spline = fit_shape_spline(data_points, values, settings)
-    samples = evaluate(spline, grid.points)
-    if centered_norm(samples, grid.weights) <= ZERO_NORM_TOL:
-        raise DegenerateDataError(f"curve {curve_id} is constant after smoothing")
-    return Curve(
-        id=curve_id,
-        grid=grid,
-        samples=samples,
-        spline=spline,
-        n_orig=1,
-        members=frozenset([curve_id]),
+    curve = fit_curve(
+        curve_id, grid, data_points, values, np.ones_like(data_points), settings,
+        n_orig=1, members=frozenset([curve_id]),
     )
+    if centered_norm(curve.samples, grid.weights) <= ZERO_NORM_TOL:
+        raise DegenerateDataError(f"curve {curve_id} is constant after smoothing")
+    return curve
 
 
 def normalize(curve: Curve) -> Curve:
@@ -115,16 +116,5 @@ def normalize(curve: Curve) -> Curve:
         raise DegenerateDataError(f"curve {curve.id} has zero centered seminorm")
     if abs(scale - 1.0) < 1e-12:
         return curve  # keeps content keys stable across renormalization passes
-    spline = SplineRep(
-        degree=curve.spline.degree,
-        interior_knots=curve.spline.interior_knots,
-        coefficients=curve.spline.coefficients / scale,
-    )
-    return Curve(
-        id=curve.id,
-        grid=curve.grid,
-        samples=curve.samples / scale,
-        spline=spline,
-        n_orig=curve.n_orig,
-        members=curve.members,
-    )
+    spline = replace(curve.spline, coefficients=curve.spline.coefficients / scale)
+    return replace(curve, samples=curve.samples / scale, spline=spline)

@@ -40,6 +40,17 @@ def _output(path, newline=None):
         raise InvalidInputError(f"cannot write output file: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _input(path, what, newline=None):
+    """The `what` file at `path`, opened for reading; a failed read, or text
+    that is not UTF-8, is invalid input."""
+    try:
+        with open(path, newline=newline, encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read {what} file: {exc}") from exc
+
+
 def write_text(path, text: str):
     with _output(path) as fh:
         fh.write(text)
@@ -54,11 +65,8 @@ def write_curves_csv(path, ids, points, samples):
 
 
 def read_curves_csv(path) -> Tuple[List[str], np.ndarray, np.ndarray]:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read curves file: {exc}") from exc
+    with _input(path, "curves", newline="") as fh:
+        rows = list(csv.reader(fh))
     if not rows or len(rows) < 2:
         raise InvalidInputError("curves file needs a header and at least one curve")
     header = rows[0]
@@ -94,11 +102,8 @@ def write_labels_csv(path, ids, labels: Dict):
 
 
 def read_labels_csv(path) -> Dict[str, str]:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read labels file: {exc}") from exc
+    with _input(path, "labels", newline="") as fh:
+        rows = list(csv.reader(fh))
     if not rows or rows[0][:2] != ["id", "label"]:
         raise InvalidInputError("labels file header must be 'id,label'")
     labels = {}
@@ -151,11 +156,10 @@ def result_json(result, names: List[str]) -> str:
 
 def read_partition_json(path) -> List[List[str]]:
     """Accepts a result JSON (with a 'partition' field) or a bare array."""
+    with _input(path, "partition") as fh:
+        text = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read partition file: {exc}") from exc
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"bad JSON in partition file: {exc}") from exc
     if isinstance(data, dict):

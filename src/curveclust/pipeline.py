@@ -109,17 +109,15 @@ def combination_thresholds(original_sims, a: float = 0.25):
     return tuple(q + off for off in THRESHOLD_OFFSETS)
 
 
-def prepare_curves(points, rows, config: RunConfig, ids=None) -> List[Curve]:
-    """Smooth raw observations onto the shared run grid."""
+def prepare_curves(points, rows, config: RunConfig) -> List[Curve]:
+    """Smooth raw observations onto the shared run grid; curve i is row i."""
     # smoothed on the caller's own points, not on a grid's snapped copy
     points = check_time_points(points)
     grid = uniform_grid(config.grid_size)
     rows = np.asarray(rows, dtype=float)
-    if ids is None:
-        ids = list(range(len(rows)))
     return [
         smooth_curve(i, points, row, grid, settings=config.splines)
-        for i, row in zip(ids, rows)
+        for i, row in enumerate(rows)
     ]
 
 
@@ -266,13 +264,6 @@ def _run_loops(shared: _Shared, thresholds) -> list:
         for loop in loops:
             loop.close()
     return outcomes
-
-
-def run_single_threshold(shared: _Shared, c_star: float):
-    """One combine/update loop at a fixed threshold; returns the candidate
-    records and the iteration log, one entry per iteration used."""
-    ((records, log),) = _run_loops(shared, [c_star])
-    return records, log
 
 
 def _final_warps(partition: Partition, shared: _Shared):

@@ -22,6 +22,7 @@ smallest id, only two histories giving bit-identical samples can do that.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 import numpy as np
@@ -78,15 +79,18 @@ class SimilarityMatrix:
     array over the sorted ids (diagonal 1), and the aligning warp of every
     ordered pair.
 
-    `entries` maps each unordered pair of `ids`, in either order, to its
-    SimilarityEntry.
+    `entries` maps each unordered pair of distinct `ids` once, in either
+    order, to its SimilarityEntry; any other set of keys is invalid input.
     """
 
     def __init__(self, entries: dict, ids: list):
         self.row = {curve_id: i for i, curve_id in enumerate(sorted(ids))}
         n = len(self.row)
-        if len(entries) != n * (n - 1) // 2:
-            raise InvalidInputError("need one similarity entry per pair of ids")
+        pairs = {frozenset(key) for key in entries}
+        if len(pairs) != len(entries) or pairs != set(
+            map(frozenset, itertools.combinations(self.row, 2))
+        ):
+            raise InvalidInputError("need one similarity entry per pair of distinct ids")
         self.array = np.eye(n)
         self._warps = {}
         for (a, b), entry in entries.items():

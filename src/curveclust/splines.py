@@ -7,8 +7,8 @@ what lets warping functions pin their endpoints exactly.
 
 scipy is used only through its compiled module `scipy.interpolate._dierckx`,
 loaded from its file without running scipy's package initializers (importing
-`scipy.interpolate` would load `scipy.optimize`, `scipy.sparse` and
-`scipy.linalg` too).  Its `evaluate_spline` and `data_matrix` are the routines
+`scipy.interpolate` would load scipy's optimize, sparse and linalg
+subpackages too).  Its `evaluate_spline` and `data_matrix` are the routines
 `BSpline.__call__` and `BSpline.design_matrix` end in, so values and designs
 keep `BSpline`'s bytes.
 """
@@ -217,14 +217,18 @@ def basis_matrix(x, degree: int, interior_knots) -> np.ndarray:
     return dense
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 _grid_bases: dict = {}
 
 
 def _shared_design(key: tuple, build) -> np.ndarray:
     design = _grid_bases.get(key)
     if design is None:
-        design = _grid_bases[key] = build()
-        design.flags.writeable = False
+        design = _grid_bases[key] = _read_only(build())
     return design
 
 

@@ -42,6 +42,7 @@ from .products import ZERO_NORM_TOL, centered_norm, corr
 from .splines import (
     Grid,
     SplineRep,
+    _read_only,
     basis_matrix,
     derivative,
     evaluate,
@@ -123,11 +124,6 @@ def greville_abscissae(degree: int, interior_knots: np.ndarray) -> np.ndarray:
     t = knot_vector(degree, interior_knots)
     nb = len(interior_knots) + degree + 1
     return np.array([t[i + 1 : i + degree + 1].mean() for i in range(nb)])
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 # The warp family: every warp and every inverse shares these arrays.
@@ -519,12 +515,11 @@ def _start_points() -> tuple:
 
     Built once and shared by every later search, so the arrays are read-only.
     """
-    starts = tuple(power_warp_raw(alpha) for alpha in _POWER_STARTS)
+    starts = tuple(_read_only(power_warp_raw(alpha)) for alpha in _POWER_STARTS)
     warps = tuple(make_warping(raw) for raw in starts)
-    for raw, warp in zip(starts, warps):
-        raw.flags.writeable = False
-        warp.forward.coefficients.flags.writeable = False
-        warp.inverse.coefficients.flags.writeable = False
+    for warp in warps:
+        _read_only(warp.forward.coefficients)
+        _read_only(warp.inverse.coefficients)
     return starts, warps
 
 

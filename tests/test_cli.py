@@ -470,6 +470,18 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "reader, what",
+        [(read_curves_csv, "curves"), (read_labels_csv, "labels"), (read_partition_json, "partition")],
+    )
+    def test_unreadable_input_file_invalid_input(self, tmp_path, reader, what):
+        # a missing file, a folder, and bytes that are not UTF-8
+        undecodable = tmp_path / "latin1"
+        undecodable.write_bytes(b"id,label\n\xff,1\n")
+        for path in (tmp_path / "none", tmp_path, undecodable):
+            with pytest.raises(InvalidInputError, match=f"^cannot read {what} file: "):
+                reader(path)
+
     def test_partition_json_accepts_bare_array(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps([["0"], ["1"]]))

@@ -11,10 +11,10 @@ from curveclust.errors import DegenerateDataError, InvalidInputError
 from curveclust.pipeline import (
     RunConfig,
     _Shared,
+    _run_loops,
     combination_thresholds,
     prepare_curves,
     run,
-    run_single_threshold,
 )
 from curveclust.io import result_json
 from curveclust.simulation import Scenario, generate
@@ -94,6 +94,8 @@ def tiny_run_config(**kwargs):
 
 
 class TestRunSingleThreshold:
+    """One threshold's loop, driven alone through `_run_loops`."""
+
     def test_identical_pair_combines_immediately(self):
         grid = uniform_grid(100)
         curves = [
@@ -101,7 +103,7 @@ class TestRunSingleThreshold:
             refit_on_grid(1, grid, sine_shape(grid.points), members=frozenset({1})),
         ]
         shared = _Shared(curves, tiny_run_config())
-        records, log = run_single_threshold(shared, 0.5)
+        ((records, log),) = _run_loops(shared, [0.5])
         assert len(records) == 1
         assert records[0].partition.groups == (frozenset({0, 1}),)
         assert records[0].iteration == 1
@@ -113,7 +115,7 @@ class TestRunSingleThreshold:
             refit_on_grid(1, grid, bump_shape(grid.points), members=frozenset({1})),
         ]
         shared = _Shared(curves, tiny_run_config())
-        records, log = run_single_threshold(shared, 0.9999)
+        ((records, log),) = _run_loops(shared, [0.9999])
         assert len(records) == 1
         assert records[0].partition.groups == (frozenset({0}), frozenset({1}))
 
@@ -133,7 +135,7 @@ class TestRunSingleThreshold:
         curves = prepare_curves(data.points, data.samples, config)
         shared = _Shared(curves, config)
         c_star = combination_thresholds(shared.matrix.values(), config.quantile_a)[0]
-        records, _ = run_single_threshold(shared, c_star)
+        ((records, _),) = _run_loops(shared, [c_star])
         best = max(records, key=lambda r: r.score)
         assert best.partition.groups == data.truths["natural"]
 
@@ -303,14 +305,29 @@ def _recorded_builds(monkeypatch):
     return events
 
 
-def _design(seed, **config):
+def _design(seed, rows=None, **config):
     """Two groups of three noisy curves, grid 100, lambda0 0.5, at most 4
-    iterations unless `config` says otherwise."""
+    iterations unless `config` says otherwise; curve i is input row
+    `rows[i]` when `rows` is given."""
     sc = Scenario(shapes=("f1", "f2"), warp="power", alphas=(0.9, 1.1),
                   sizes=(3, 3), sigma=0.1, n_points=80, seed=seed)
     data = generate(sc)
     config = tiny_run_config(lambda0=0.5, **config)
-    return prepare_curves(data.points, data.samples, config), config
+    samples = data.samples if rows is None else data.samples[rows]
+    return prepare_curves(data.points, samples, config), config
+
+
+class TestRowOrder:
+    def test_permuted_rows_give_the_same_partition(self):
+        curves, config = _design(1)
+        expected = set(run(curves, config).partition.groups)
+        assert len(expected) == 2
+        for rows in ([5, 4, 3, 2, 1, 0], [3, 0, 4, 1, 5, 2]):
+            permuted, _ = _design(1, rows)
+            groups = run(permuted, config).partition.groups
+            # only partitions compare: which way a pair is searched follows
+            # the ids, so index values can move slightly
+            assert {frozenset(rows[i] for i in g) for g in groups} == expected
 
 
 class TestLockstepLoops:

@@ -213,6 +213,17 @@ class TestSimilarityMatrix:
         with pytest.raises(InvalidInputError):
             SimilarityMatrix(entries, [0, 1, 2])
 
+    @pytest.mark.parametrize(
+        "keys",
+        [[(0, 1), (1, 0), (0, 2)], [(0, 1), (0, 0), (1, 2)], [(0, 1), (0, 3), (1, 2)]],
+        ids=["pair-twice", "self-pair", "unknown-id"],
+    )
+    def test_keys_other_than_each_pair_once_rejected(self, keys):
+        # three keys for three ids, but not the three pairs of distinct ids
+        entries = {key: SimilarityEntry(0.5, identity_warp(), 0, 0, 0, 0) for key in keys}
+        with pytest.raises(InvalidInputError):
+            SimilarityMatrix(entries, [0, 1, 2])
+
     def test_recomputation_deterministic(self):
         grid = uniform_grid(100)
         curves = [
