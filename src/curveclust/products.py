@@ -51,27 +51,14 @@ def corr(f: np.ndarray, g: np.ndarray, weights: np.ndarray) -> float:
     return float(np.clip((weights @ (fc * gc)) / (nf * ng), -1.0, 1.0))
 
 
-def warp_weighted_mean(f: np.ndarray, dpsi: np.ndarray, weights: np.ndarray) -> float:
-    """Mean against the warp-derivative measure: integral of f * dpsi."""
-    return float(weights @ (f * dpsi))
-
-
-def warp_weighted_inner(
-    f: np.ndarray, g: np.ndarray, dpsi: np.ndarray, weights: np.ndarray
-) -> float:
-    """Warp-weighted centered inner product (positive semidefinite, symmetric)."""
-    fc = f - warp_weighted_mean(f, dpsi, weights)
-    gc = g - warp_weighted_mean(g, dpsi, weights)
-    return float(weights @ (fc * gc * dpsi))
-
-
 def warp_weighted_rows(
     g: np.ndarray, dpsi: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Rows v with f @ v[l] = warp_weighted_inner(f, g_l, dpsi[l], weights) for
-    every f, where g is one curve (g_l = g) or one curve per row of dpsi.
+    """Rows v with f @ v[l] = <f, g_l>_d for every f, where d = dpsi[l], g is
+    one curve (g_l = g) or one curve per row of dpsi, and <f, g>_d is the
+    warp-weighted centered inner product sum w*d*(f - m_d(f))*(g - m_d(g)).
 
-    With d = dpsi[l] and m_d(f) = sum w*d*f, expanding the centered product gives
+    With m_d(f) = sum w*d*f, expanding the centered product gives
     <f, g>_d = sum w*d*f*g - m_d(f)*m_d(g)*(2 - sum w*d),
     so v[l] = w*d*(g_l - m_d(g_l)*(2 - sum w*d)).
     """

@@ -3,23 +3,24 @@ shrinkage constant keeping the update conservative enough, and the convex
 combination that moves each curve toward its warped neighbors.
 
 The weight and shrinkage rules are exactly the ones under which the
-improvement guarantee holds (see verify_improvement, which checks the
-conditions and the resulting inequality numerically on a concrete instance).
+improvement guarantee holds; the tests check the conditions and the
+resulting inequality numerically on concrete instances
+(`tests/oracles.py`, `verify_improvement`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import List
 
 import numpy as np
 
 from .curves import Curve, normalize, refit_on_grid
 from .errors import DegenerateDataError, MissingSimilaritiesError
-from .products import center_inner, centered_norm, sum_in_order, warp_weighted_rows
+from .products import center_inner, centered_norm, warp_weighted_rows
 from .splines import DEFAULT_SPLINES, SplineSettings
-from .warping import Warping, forward_on_grid, rho_parts
+from .warping import Warping, forward_on_grid
 
 W_FLOOR = 1e-6
 IND_MAX_CLAMP = (1e-6, 1.0 - 1e-6)
@@ -228,73 +229,3 @@ def update_all(
         pool[target_id] = update_curve(ctx)
         updated_id = target_id
     return [pool[i] for i in order]
-
-
-@dataclass
-class ImprovementCheck:
-    """Outcome of verifying the update-improvement conditions on one instance."""
-
-    qualifies: bool
-    reasons: list
-    lam: float
-    lc5: Optional[float]
-    lc6: float
-    theta: np.ndarray
-    sum_before: float
-    sum_after: float
-    updated: Optional[Curve]
-
-
-def verify_improvement(ctx: UpdateContext) -> ImprovementCheck:
-    """Numerically check the conditions of the improvement guarantee and
-    evaluate both sides of the inequality at the instance's warps.
-
-    Conditions: unit seminorms, nonnegative alignment inner products, both
-    residual aggregates strictly positive for the selected weights, and a
-    positive shrinkage constant dominating both bound quantities.  The sums
-    compare the penalized similarity of the target (before/after the update)
-    to each neighbor at the fixed instance warps.
-    """
-    norm_ctx = replace(
-        ctx, target=normalize(ctx.target), others=[normalize(c) for c in ctx.others]
-    )
-    q = _Quantities(norm_ctx)
-    reasons = []
-    if np.any(q.ip_f1 < 0.0):
-        reasons.append("negative alignment inner product")
-    theta, all_zero = select_update_weights(norm_ctx, q)
-    if all_zero:
-        reasons.append("all weights zeroed")
-        return ImprovementCheck(False, reasons, math.nan, None, math.nan, theta, math.nan, math.nan, None)
-    lam, lc5, lc6, g0, alpha_sum = _shrinkage_parts(theta, q)
-    c3 = center_inner(g0, q.resid_sum, q.w)
-    if c3 <= 0.0:
-        reasons.append("aggregate plain residual not positive")
-    if alpha_sum <= 0.0:
-        reasons.append("aggregate weighted residual not positive")
-    if not (lam > 0.0 and np.isfinite(lam)):
-        reasons.append("shrinkage constant not positive")
-    if lc5 is not None and lam < lc5:
-        reasons.append("shrinkage below first bound")
-    if lam < lc6:
-        reasons.append("shrinkage below second bound")
-    updated = _update_with(norm_ctx, q)
-    before = sum_in_order(
-        rho_parts(norm_ctx.target, other, warp, norm_ctx.lambda0).rho
-        for other, warp in zip(norm_ctx.others, norm_ctx.warps)
-    )
-    after = sum_in_order(
-        rho_parts(updated, other, warp, norm_ctx.lambda0).rho
-        for other, warp in zip(norm_ctx.others, norm_ctx.warps)
-    )
-    return ImprovementCheck(
-        qualifies=not reasons,
-        reasons=reasons,
-        lam=lam,
-        lc5=lc5,
-        lc6=lc6,
-        theta=theta,
-        sum_before=before,
-        sum_after=after,
-        updated=updated,
-    )

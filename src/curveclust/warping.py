@@ -18,6 +18,7 @@ scores each start and final point exactly where it was searched, and
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -131,13 +132,22 @@ WARP_DEGREE = 2
 WARP_INTERIOR = _read_only(uniform_interior_knots(3))
 INVERSE_INTERIOR = _read_only(uniform_interior_knots(23))
 _GREVILLE_STEPS = _read_only(np.diff(greville_abscissae(WARP_DEGREE, WARP_INTERIOR)))
+_LAYOUTS = (WARP_INTERIOR, INVERSE_INTERIOR)
 
 
-def _has_layout(spline: SplineRep, interior: np.ndarray) -> bool:
-    return spline.degree == WARP_DEGREE and (
-        spline.interior_knots is interior
-        or np.array_equal(spline.interior_knots, interior)
-    )
+def _layout(spline: SplineRep) -> int:
+    """The index in `_LAYOUTS` of a warp spline's knot layout: found by
+    identity when the spline shares the family's knot array, as every warp
+    and inverse built here does, and by value otherwise."""
+    if spline.degree == WARP_DEGREE:
+        knots = spline.interior_knots
+        for i, interior in enumerate(_LAYOUTS):
+            if knots is interior:
+                return i
+        for i, interior in enumerate(_LAYOUTS):
+            if np.array_equal(knots, interior):
+                return i
+    raise InvalidInputError("warp spline is outside the fixed warp family")
 
 
 def forward_on_grid(warps, grid: Grid) -> tuple:
@@ -146,16 +156,13 @@ def forward_on_grid(warps, grid: Grid) -> tuple:
     product per knot layout.  A swapped warp reads its inverse forward."""
     psi = np.empty((len(warps), len(grid)))
     dpsi = np.empty_like(psi)
-    placed = 0
-    for interior in (WARP_INTERIOR, INVERSE_INTERIOR):
-        rows = [j for j, warp in enumerate(warps) if _has_layout(warp.forward, interior)]
+    layouts = [_layout(warp.forward) for warp in warps]
+    for i, interior in enumerate(_LAYOUTS):
+        rows = [j for j, layout in enumerate(layouts) if layout == i]
         if rows:
             coef = np.array([warps[j].forward.coefficients for j in rows])
             psi[rows] = coef @ grid_basis(grid, WARP_DEGREE, interior).T
             dpsi[rows] = coef @ grid_derivative_basis(grid, WARP_DEGREE, interior).T
-            placed += len(rows)
-    if placed != len(warps):
-        raise InvalidInputError("warp spline is outside the fixed warp family")
     return np.clip(psi, 0.0, 1.0, out=psi), dpsi
 
 
@@ -301,7 +308,14 @@ def _proxy_values(pairs, lambda0: float, row_pairs: np.ndarray):
     variables with the forward derivative as weight, without the inverse
     spline: the same quantity up to inverse-approximation error.  A row whose
     warp is numerically flat somewhere, whose warped curve is constant, or
-    whose similarity is not finite reads 2.0.
+    whose similarity is not finite reads 2.0.  A flat row runs through the
+    same arithmetic as the others (its NaN, infinities and divisions by zero
+    stay in its own values) and is masked at the end.
+
+    What depends on `rows` alone (each row's pair, its f samples, their
+    centered values and norm, and the runs of a pair's rows) is gathered
+    once per `rows` array: `minimize` passes the same array object from round
+    to round until a row finishes, and the array is not changed meanwhile.
 
     Each row gets the bytes of the one-row objective that tests/test_warping.py
     keeps as the reference: per-row products run through `np.vecdot` and a
@@ -318,31 +332,36 @@ def _proxy_values(pairs, lambda0: float, row_pairs: np.ndarray):
     f_norm = np.sqrt(np.vecdot(f_centered * f_centered, w))
     g_values = [g.spline.evaluator for _, g in pairs]
     vecdot, clip = np.vecdot, _clip_unit
+    gathered = None  # the last `rows` array, and what was gathered for it
+
+    def gather(rows: np.ndarray) -> tuple:
+        p = row_pairs[rows]
+        runs, stop = [], 0  # one spline call per run of a pair's rows
+        for pair, run in itertools.groupby(p.tolist()):
+            start, stop = stop, stop + len(list(run))
+            runs.append((g_values[pair], start, stop))
+        return rows, runs, fs[p], f_centered[p], f_norm[p]
 
     def values(rows: np.ndarray, raws: np.ndarray) -> np.ndarray:
+        nonlocal gathered
+        if gathered is None or gathered[0] is not rows:
+            gathered = gather(rows)
+        _, runs, fsp, fcp, fnp = gathered
         coef = _coefficients_from_raw(raws)[:, :, None]
         psi = np.matmul(basis, coef).reshape(len(rows), n)
         dpsi = np.matmul(deriv, coef).reshape(len(rows), n)
-        # NaN, or numerically flat somewhere: 1/dpsi would blow up
-        flat = ~(np.minimum.reduce(dpsi, axis=1) > 1e-9)
-        if flat.any():
-            out, ok = np.full(len(rows), 2.0), np.flatnonzero(~flat)
-            if len(ok):
-                out[ok] = values(rows[ok], raws[ok])
-            return out
-        p = row_pairs[rows]
-        # np.clip's bytes: psi, a nonnegative sum, has no -0.0 or NaN
+        # False where NaN, or numerically flat somewhere: 1/dpsi would blow up
+        steep = np.minimum.reduce(dpsi, axis=1) > 1e-9
+        # np.clip's bytes: psi of a steep row, a nonnegative sum, has no -0.0
+        # or NaN
         np.minimum(np.maximum(psi, 0.0, out=psi), 1.0, out=psi)
         g_warped = np.empty_like(psi)
-        stop = 0  # one spline call per run of a pair's rows
-        for pair, run in itertools.groupby(p.tolist()):
-            start, stop = stop, stop + len(list(run))
-            g_warped[start:stop] = g_values[pair](psi[start:stop])
-        fsp = fs[p]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        for g_value, start, stop in runs:
+            g_warped[start:stop] = g_value(psi[start:stop])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             gc = g_warped - vecdot(g_warped, w)[:, None]
             g_norm = np.sqrt(vecdot(gc * gc, w))
-            r_fwd = clip(vecdot(f_centered[p] * gc, w) / (f_norm[p] * g_norm))
+            r_fwd = clip(vecdot(fcp * gc, w) / (fnp * g_norm))
             d1 = dpsi - 1.0
             p_fwd = vecdot(d1 * d1, w)
             wd = w * dpsi
@@ -354,7 +373,7 @@ def _proxy_values(pairs, lambda0: float, row_pairs: np.ndarray):
             d1 = 1.0 / dpsi - 1.0
             p_inv = vecdot(wd, d1 * d1)
             rho = 0.5 * ((r_fwd - lambda0 * p_fwd) + (r_inv - lambda0 * p_inv))
-        good = (g_norm > ZERO_NORM_TOL) & (denom > ZERO_NORM_TOL**2) & np.isfinite(rho)
+        good = steep & (g_norm > ZERO_NORM_TOL) & (denom > ZERO_NORM_TOL**2) & np.isfinite(rho)
         return np.where(good, np.negative(rho, out=rho), 2.0)
 
     return values
@@ -371,14 +390,21 @@ _REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1, 2, 0.5, 0.5
 
 
 def _ordered(sim: list, fsim: list) -> tuple:
-    """Vertices and values in `np.argsort(fsim)` order: scipy's order, equal
-    values included."""
-    order = np.array(fsim).argsort().tolist()
-    return [sim[i] for i in order], [fsim[i] for i in order]
+    """Vertices and values in `np.argsort(fsim)` order, scipy's order, and
+    whether the values are distinct and not NaN.
 
-
-def _add_points(x: list, y: list) -> list:
-    return list(map(operator.add, x, y))
+    Distinct values have one sorted order, which `sorted` finds.  Equal
+    values and NaN go to `np.argsort`: its order of equal values is its own
+    (it is not a stable sort here), and it puts NaN last.  A NaN fails every
+    `<`, so it never passes the check of distinct values.
+    """
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    values = [fsim[i] for i in order]
+    distinct = all(map(operator.lt, values, values[1:]))
+    if not distinct:
+        order = np.array(fsim).argsort().tolist()
+        values = [fsim[i] for i in order]
+    return [sim[i] for i in order], values, distinct
 
 
 def _nelder_mead(sim: list, maxfev: int):
@@ -392,57 +418,76 @@ def _nelder_mead(sim: list, maxfev: int):
     When the budget runs out mid-step, the step ends where scipy's does: an
     expansion or contraction changes nothing, and a shrink keeps the vertex it
     moved but could not evaluate.
+
+    The simplex stays in scipy's order (`_ordered`).  After a step that only
+    replaces the worst vertex, and while the values are distinct and not NaN,
+    the new vertex is inserted where it sorts (`bisect`), unless it is NaN or
+    equals another value.  Once sorted, `fsim[-1] - fsim[0]` is scipy's
+    largest value difference, so that cheap test comes before the test on the
+    coordinates.
     """
     n = len(sim) - 1
     fsim = []
     for x in sim:
         fsim.append((yield x))
     calls = n + 1
-    sim, fsim = _ordered(*_ordered(sim, fsim))  # scipy sorts twice here
+    sim, fsim, distinct = _ordered(*_ordered(sim, fsim)[:2])  # scipy sorts twice here
     while calls < maxfev:
-        best, fbest = sim[0], fsim[0]
-        if all(abs(a - b) <= _XATOL for x in sim[1:] for a, b in zip(x, best)) and all(
-            abs(fbest - f) <= _FATOL for f in fsim[1:]
+        best = sim[0]
+        if fsim[-1] - fsim[0] <= _FATOL and all(
+            abs(a - b) <= _XATOL for x in sim[1:] for a, b in zip(x, best)
         ):
             break
-        xbar = [c / n for c in functools.reduce(_add_points, sim[:-1])]
+        total = best
+        for vertex in sim[1:-1]:
+            total = [a + b for a, b in zip(total, vertex)]
+        xbar = [c / n for c in total]
         worst = sim[-1]
         xr = [(1 + _REFLECT) * c - _REFLECT * v for c, v in zip(xbar, worst)]
         fxr = yield xr
         calls += 1
+        new = None  # the vertex that replaces the worst one, with its value
         if fxr < fsim[0]:
             if calls < maxfev:
                 k = _REFLECT * _EXPAND
                 xe = [(1 + k) * c - k * v for c, v in zip(xbar, worst)]
                 fxe = yield xe
                 calls += 1
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+                new = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+            new = xr, fxr
         elif calls < maxfev:
             if fxr < fsim[-1]:
                 k = _CONTRACT * _REFLECT
                 xc = [(1 + k) * c - k * v for c, v in zip(xbar, worst)]
                 fxc = yield xc
                 calls += 1
-                shrink = not fxc <= fxr
-                if not shrink:
-                    sim[-1], fsim[-1] = xc, fxc
+                if fxc <= fxr:
+                    new = xc, fxc
             else:
                 xcc = [(1 - _CONTRACT) * c + _CONTRACT * v for c, v in zip(xbar, worst)]
                 fxcc = yield xcc
                 calls += 1
-                shrink = not fxcc < fsim[-1]
-                if not shrink:
-                    sim[-1], fsim[-1] = xcc, fxcc
-            if shrink:
+                if fxcc < fsim[-1]:
+                    new = xcc, fxcc
+            if new is None:  # shrink towards the best vertex
                 for j in range(1, n + 1):
                     sim[j] = [a + _SHRINK * (b - a) for a, b in zip(sim[0], sim[j])]
                     if calls == maxfev:
                         break
                     fsim[j] = yield sim[j]
                     calls += 1
-        sim, fsim = _ordered(sim, fsim)
+        if new is not None:
+            x, fx = new
+            if distinct:
+                i = bisect.bisect_left(fsim, fx, 0, n)
+                if i == n or fx < fsim[i]:  # distinct from the rest, not NaN
+                    del sim[-1], fsim[-1]
+                    sim.insert(i, x)
+                    fsim.insert(i, fx)
+                    continue
+            sim[-1], fsim[-1] = x, fx
+        sim, fsim, distinct = _ordered(sim, fsim)
     return sim[0], np.min(fsim), calls
 
 
@@ -484,26 +529,29 @@ def minimize(values, x0s: np.ndarray) -> SearchResult:
 
     Each round takes the one point that each unfinished row waits on and
     makes one `values(rows, points)` call for all of them (`rows` holds the
-    row indices); each row then gets its own value back.  A row's points do
-    not depend on the other rows, so its final point is that of its search
-    alone.
+    row indices, and is the same array object from one round to the next
+    until a row finishes); each row then gets its own value back.  A row's
+    points do not depend on the other rows, so its final point is that of its
+    search alone.
     """
-    searches = [_start_search(x0) for x0 in x0s]
-    rows = list(range(len(searches)))
-    points = [next(search) for search in searches]
+    searches = [_start_search(x0).send for x0 in x0s]
+    active = list(range(len(searches)))
+    rows = np.array(active)  # the same array until a row finishes
+    points = [search(None) for search in searches]
     finals = np.array(x0s, dtype=float)
     nfev = 0
-    while rows:
-        fx = values(np.array(rows), np.array(points)).tolist()
-        nfev += len(rows)
+    while active:
+        fx = values(rows, np.array(points)).tolist()
+        nfev += len(active)
         waiting, points = [], []
-        for row, value in zip(rows, fx):
+        for row, value in zip(active, fx):
             try:
-                points.append(searches[row].send(value))
+                points.append(searches[row](value))
                 waiting.append(row)
             except StopIteration as done:
                 finals[row] = done.value
-        rows = waiting
+        if len(waiting) < len(active):
+            active, rows = waiting, np.array(waiting)
     return SearchResult(finals, nfev)
 
 
@@ -612,16 +660,17 @@ def final_points(pairs, lambda0: float) -> np.ndarray:
     Before any search starts, a bad penalty weight, curves on more than one
     grid and a constant curve in any pair are rejected.  The (pair, start)
     units are flattened pair-major and, with k helpers (one per spare CPU, at
-    most one per unit after the first), dealt round-robin: the caller runs
-    positions 0, k + 1, 2k + 2, ... and helper share i runs positions i,
-    i + k + 1, ....  Each unit's row is one row of a buffer that the caller
-    and its helpers share; each helper is forked once for this call, writes
-    its rows and exits.  A unit runs the same code on the same inputs
-    wherever it runs, so the rows do not depend on k.  The start warps' grid
-    parts are computed before any fork, so every process reads them.  A
-    helper whose exit status is not 0 has died, and its share runs again in
-    the caller; if the caller raises, the helpers still running are killed
-    and reaped.
+    most one per unit after the first), split into k + 1 contiguous runs
+    whose sizes differ by at most one, the larger ones first: the caller runs
+    the first run and helper i the run after it.  A process's blocks then
+    hold few pairs, and a round of a block's search makes one shape-spline
+    call per pair.  Each unit's row is one row of a buffer that the caller and
+    its helpers share; each helper is forked once for this call, writes its
+    rows and exits.  A unit runs the same code on the same inputs wherever it
+    runs, so the rows do not depend on k.  The start warps' grid parts are
+    computed before any fork, so every process reads them.  A helper whose
+    exit status is not 0 has died, and its share runs again in the caller; if
+    the caller raises, the helpers still running are killed and reaped.
     """
     check_lambda0(lambda0)
     if len({curve.grid.key for pair in pairs for curve in pair}) > 1:
@@ -639,16 +688,18 @@ def final_points(pairs, lambda0: float) -> np.ndarray:
     # an anonymous mapping is shared with forked children, unlike the heap
     buffer = mmap.mmap(-1, _UNIT.itemsize * len(units))
     finals = np.frombuffer(buffer, _UNIT)
+    bounds = [-(-len(units) * i // share) for i in range(share + 1)]  # ceilings
+    runs = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     helpers = []  # pid of each helper not yet reaped, in share order
     try:
-        for i in range(1, share):
-            helpers.append(_fork_helper(pairs, lambda0, units[i::share], finals[i::share]))
-        _run_units(pairs, lambda0, units[::share], finals[::share])
-        for i in range(1, share):
+        for run in runs[1:]:
+            helpers.append(_fork_helper(pairs, lambda0, units[run], finals[run]))
+        _run_units(pairs, lambda0, units[runs[0]], finals[runs[0]])
+        for run in runs[1:]:
             _, status = os.waitpid(helpers[0], 0)
             del helpers[0]
             if status != 0:  # the helper died, perhaps before writing its rows
-                _run_units(pairs, lambda0, units[i::share], finals[i::share])
+                _run_units(pairs, lambda0, units[run], finals[run])
     finally:
         for pid in helpers:
             os.kill(pid, signal.SIGKILL)

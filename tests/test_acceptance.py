@@ -15,7 +15,7 @@ from curveclust.pipeline import RunConfig, prepare_curves, run
 from curveclust.similarity import similarity
 from curveclust.simulation import Scenario, generate, scenario_preset
 from curveclust.splines import uniform_grid
-from curveclust.updating import UpdateContext, verify_improvement
+from curveclust.updating import UpdateContext
 from curveclust.warping import (
     make_warping,
     n_raw_params,
@@ -25,6 +25,7 @@ from curveclust.warping import (
 )
 
 from .conftest import random_smooth_curve, sine_shape
+from .oracles import verify_improvement
 
 SEEDS = (1, 2, 3, 4, 5)
 

@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from curveclust.curves import normalize, refit_on_grid
 from curveclust.errors import DegenerateDataError, MissingSimilaritiesError
-from curveclust.products import (
-    center_inner,
-    centered_norm,
-    warp_weighted_inner,
-    warp_weighted_mean,
-    warp_weighted_rows,
-)
+from curveclust.products import center_inner, centered_norm, warp_weighted_rows
 from curveclust.similarity import SimilarityMatrix, rho_given_psi, similarity_matrix
 from curveclust.splines import derivative, evaluate, uniform_grid
 from curveclust.updating import (
@@ -23,7 +17,6 @@ from curveclust.updating import (
     select_update_weights,
     update_all,
     update_curve,
-    verify_improvement,
     weight_exponent,
 )
 from curveclust.warping import (
@@ -34,6 +27,7 @@ from curveclust.warping import (
 )
 
 from .conftest import identity_warp, random_smooth_curve, sine_shape
+from .oracles import verify_improvement, warp_weighted_inner, warp_weighted_mean
 
 GRID = uniform_grid(300)
 

@@ -2,16 +2,18 @@ import contextlib
 import dataclasses
 import json
 import linecache
+import math
 import os
 import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import _optimize
 from scipy.optimize import minimize as scipy_minimize
@@ -399,6 +401,32 @@ class TestProxyObjectiveIdentity:
         assert sum(v == 2.0 for v in ref_values[::2]) >= 100
         assert sum(v != 2.0 for v in ref_values[::2]) >= 2000
 
+    def test_flat_rows_in_a_block(self, grid100):
+        # rows 3 and 5 are numerically flat at t = 0 (row 5 so flat that
+        # 1/dpsi squared overflows) and row 6 is NaN: each reads 2.0, and every
+        # row keeps the bytes of its one-row call and of the reference
+        rng = np.random.default_rng(34)
+        f, g, h = (random_smooth_curve(i, grid100, rng) for i in range(3))
+        pairs = [(f, g), (g, h)]
+        row_pairs = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+        raws = rng.normal(0.0, 0.5, (8, n_raw_params()))
+        raws[3, 0], raws[5, 0], raws[6] = -40.0, -400.0, np.nan
+        values = warping._proxy_values(pairs, 0.5, row_pairs)
+        rows = np.arange(8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = values(rows, raws)
+        assert [got[i] for i in (3, 5, 6)] == [2.0, 2.0, 2.0]
+        alone = [values(rows[i : i + 1], raws[i : i + 1])[0] for i in rows]
+        assert got.tobytes() == np.array(alone).tobytes()
+        objectives = [_reference_proxy_objective(a, b, 0.5) for a, b in pairs]
+        reference = [objectives[p](raw) for p, raw in zip(row_pairs, raws)]
+        assert got.tobytes() == np.array(reference).tobytes()
+        # the same rows array at other points reuses its gathers, with the
+        # bytes of a fresh array
+        moved = raws[::-1] + 0.25
+        assert values(rows, moved).tobytes() == values(rows.copy(), moved).tobytes()
+
     def test_optimize_warping_identical_to_reference(self, grid100, grid500):
         rng = np.random.default_rng(21)
         cases = [(grid100, 0.5), (grid100, 0.0), (grid500, 0.0)]
@@ -491,6 +519,65 @@ class TestLockstepSearch:
         if budget == 33:
             assert {"fxe = func(xe)", "fsim[j] = func(sim[j])"} <= phases
             assert phases & {"fxc = func(xc)", "fxcc = func(xcc)"}
+
+    @settings(max_examples=20)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["bowl", "stepped", "holed"]),
+        st.integers(13, 400),
+        st.integers(1, 4),
+    )
+    def test_any_search_equals_the_scipy_search(self, seed, kind, budget, n_starts):
+        # random bowls, tie-heavy stepped bowls and bowls with NaN holes, from
+        # random starts: the inserted vertex, the np.argsort fallback, shrinks
+        # and budget cut-offs mid-step all run across the examples
+        rng = np.random.default_rng(seed)
+        n_raw = n_raw_params()
+        centre = rng.normal(0.0, 1.0, n_raw)
+        scale = rng.uniform(0.1, 3.0, n_raw)
+        x0s = rng.normal(0.0, rng.uniform(0.1, 2.0), (n_starts, n_raw))
+
+        def objective(x):
+            value = float(np.sum(scale * (x - centre) ** 2))
+            if kind == "stepped":
+                return math.floor(2.0 * value) / 2.0
+            if kind == "holed" and math.sin(5.0 * x[0]) > 0.7:
+                return math.nan
+            return value
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(warping, "_BUDGET_PER_START", budget)
+            result = warping.minimize(
+                lambda rows, points: np.array([objective(x) for x in points]), x0s
+            )
+            reference = [_reference_budgeted_nelder_mead(objective, x0) for x0 in x0s]
+        assert _point_bytes([result.x]) == _point_bytes([reference])
+
+    def test_nan_values_ordered_as_scipy_orders_them(self, monkeypatch):
+        # NaN on slabs of the space: np.argsort puts NaN last, and the sorted
+        # insertion must hand every NaN to it
+        fallbacks = []
+        ordered = warping._ordered
+
+        def spied(sim, fsim):
+            sim, fsim, distinct = ordered(sim, fsim)
+            fallbacks.append(not distinct and any(map(math.isnan, fsim)))
+            return sim, fsim, distinct
+
+        monkeypatch.setattr(warping, "_ordered", spied)
+        rng = np.random.default_rng(29)
+        x0s = rng.normal(0.0, 1.0, (20, n_raw_params()))
+        centre = rng.normal(0.0, 1.0, n_raw_params())
+
+        def holed(x):
+            if math.sin(3.0 * x[1]) > 0.5:
+                return math.nan
+            return float(np.sum((x - centre) ** 2))
+
+        result = warping.minimize(lambda rows, points: np.array([holed(x) for x in points]), x0s)
+        reference = [_reference_budgeted_nelder_mead(holed, x0) for x0 in x0s]
+        assert _point_bytes([result.x]) == _point_bytes([reference])
+        assert sum(fallbacks) >= 10
 
     def test_counts_every_evaluation(self, grid100):
         rng = np.random.default_rng(27)
