@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from curveclust.indices import DUNN_INTER, DUNN_INTRA, adjusted_rand
+from curveclust.indices import INDEX_NAMES, adjusted_rand
 from curveclust.pipeline import RunConfig, prepare_curves, run
 from curveclust.simulation import Scenario, generate
 
@@ -29,11 +29,8 @@ def main(argv=None):
     seeds = [int(v) for v in args.seeds.split(",")]
     truth_key = "natural" if args.lambda0 > 0 else "merged"
 
-    settings = [("silhouette", None, None)] + [
-        ("dunn", inter, intra) for inter in DUNN_INTER for intra in DUNN_INTRA
-    ]
     print(f"lambda0={args.lambda0} sigma={args.sigma} truth={truth_key}")
-    for index, inter, intra in settings:
+    for index in INDEX_NAMES:
         scores = []
         for seed in seeds:
             scenario = Scenario(
@@ -47,13 +44,10 @@ def main(argv=None):
                 merged=(0, 2),
             )
             data = generate(scenario)
-            kwargs = dict(lambda0=args.lambda0, grid_size=args.grid, index=index)
-            if inter is not None:
-                kwargs.update(dunn_inter=inter, dunn_intra=intra)
-            result = cluster(data, RunConfig(**kwargs))
+            config = RunConfig(lambda0=args.lambda0, grid_size=args.grid, index=index)
+            result = cluster(data, config)
             scores.append(adjusted_rand(result.partition.groups, data.truths[truth_key]))
-        label = index if inter is None else f"dunn({inter},{intra})"
-        print(f"{label:>14}: ARI {np.mean(scores):.4f} ({np.std(scores):.4f})")
+        print(f"{index:>14}: ARI {np.mean(scores):.4f} ({np.std(scores):.4f})")
     return 0
 
 

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from curveclust.indices import adjusted_rand
+from curveclust.indices import INDEX_NAMES, adjusted_rand
 from curveclust.pipeline import RunConfig, prepare_curves, run
 from curveclust.simulation import Scenario, generate
 
@@ -26,7 +26,7 @@ def main(argv=None):
     parser.add_argument("--seeds", default="1,2,3,4,5")
     parser.add_argument("--points", type=int, default=100)
     parser.add_argument("--grid", type=int, default=100)
-    parser.add_argument("--index", choices=["silhouette", "dunn"], default="silhouette")
+    parser.add_argument("--index", choices=INDEX_NAMES, default=RunConfig.index)
     args = parser.parse_args(argv)
     sizes = tuple(int(v) for v in args.sizes.split(","))
     seeds = [int(v) for v in args.seeds.split(",")]

@@ -10,8 +10,7 @@ import json
 import sys
 
 from .errors import DegenerateDataError, InvalidInputError
-from .indices import DUNN_INTER, DUNN_INTRA, distances_from_similarity, dunn, silhouette
-from .indices import adjusted_rand
+from .indices import INDEX_NAMES, adjusted_rand, distances_from_similarity, index_function
 from .io import (
     check_output_path,
     read_curves_csv,
@@ -24,7 +23,7 @@ from .io import (
 )
 from .pipeline import RunConfig, prepare_curves, run
 from .similarity import similarity, similarity_matrix
-from .simulation import generate, scenario_preset
+from .simulation import Scenario, generate, scenario_preset
 from .warping import warp_samples
 
 # cluster, align and indexes smooth onto the same grid unless told otherwise,
@@ -42,12 +41,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="cluster the curves of a CSV file")
     p.add_argument("--input", required=True)
     p.add_argument("--lambda0", type=float, required=True)
-    p.add_argument("--index", choices=["silhouette", "dunn"], default="silhouette")
-    p.add_argument("--dunn-inter", choices=list(DUNN_INTER), default="I1")
-    p.add_argument("--dunn-intra", choices=list(DUNN_INTRA), default="J1")
-    p.add_argument("--quantile-a", type=float, default=0.25)
+    p.add_argument("--index", choices=INDEX_NAMES, default=RunConfig.index)
+    p.add_argument("--quantile-a", type=float, default=RunConfig.quantile_a)
     p.add_argument("--grid", type=int, default=_DEFAULT_GRID)
-    p.add_argument("--max-iter", type=int, default=10)
+    p.add_argument("--max-iter", type=int, default=RunConfig.max_iterations)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_cluster)
 
@@ -55,8 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", choices=["s31", "s32a", "s32b", "s33a", "s33b"], required=True)
     p.add_argument("--sizes", default=None, help="comma-separated group sizes, e.g. 10,10,10")
     p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--points", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--points", type=int, default=Scenario.n_points)
+    p.add_argument("--seed", type=int, default=Scenario.seed)
     p.add_argument("--out", required=True)
     p.add_argument("--labels", required=True)
     p.set_defaults(func=_cmd_simulate)
@@ -96,8 +93,6 @@ def _cmd_cluster(args) -> int:
         lambda0=args.lambda0,
         quantile_a=args.quantile_a,
         index=args.index,
-        dunn_inter=args.dunn_inter,
-        dunn_intra=args.dunn_intra,
         grid_size=args.grid,
         max_iterations=args.max_iter,
     )
@@ -181,12 +176,10 @@ def _cmd_indexes(args) -> int:
     groups = [set(group) for group in groups]
     matrix = similarity_matrix(curves, args.lambda0)
     dist = distances_from_similarity(matrix)
-    print(f"silhouette {silhouette(groups, dist):.6f}")
-    for inter in DUNN_INTER:
-        for intra in DUNN_INTRA:
-            value = dunn(groups, dist, inter=inter, intra=intra)
-            text = "inf" if value == float("inf") else f"{value:.6f}"
-            print(f"dunn_{inter}_{intra} {text}")
+    for name in INDEX_NAMES:
+        value = index_function(name)(groups, dist)
+        text = "inf" if value == float("inf") else f"{value:.6f}"
+        print(f"{name} {text}")
     return 0
 
 

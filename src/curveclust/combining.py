@@ -161,7 +161,6 @@ def combine_group(
         np.concatenate(ys),
         np.concatenate(ws),
         settings,
-        n_orig=sum(curves_by_id[m].n_orig for m in group),
         members=frozenset().union(*(curves_by_id[m].members for m in group)),
     )
 

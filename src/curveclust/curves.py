@@ -4,7 +4,7 @@ with provenance of which original curves each one aggregates."""
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -34,8 +34,12 @@ class Curve:
     grid: Grid
     samples: np.ndarray
     spline: SplineRep
-    n_orig: int = 1
-    members: frozenset = field(default_factory=frozenset)
+    members: frozenset  # ids of the original curves this curve stands for
+
+    @property
+    def n_orig(self) -> int:
+        """The curve's weight: how many original curves it stands for."""
+        return len(self.members)
 
     @cached_property
     def content_key(self) -> bytes:
@@ -52,7 +56,6 @@ def fit_curve(
     y,
     weights,
     settings: SplineSettings,
-    n_orig: int,
     members: frozenset,
     design=None,
 ) -> Curve:
@@ -62,7 +65,7 @@ def fit_curve(
     spline = fit_least_squares(
         x, y, weights, settings.shape_degree, settings.shape_interior(), design
     )
-    return Curve(curve_id, grid, evaluate(spline, grid.points), spline, n_orig, members)
+    return Curve(curve_id, grid, evaluate(spline, grid.points), spline, members)
 
 
 def refit_on_grid(
@@ -70,14 +73,16 @@ def refit_on_grid(
     grid: Grid,
     values: np.ndarray,
     settings: SplineSettings = DEFAULT_SPLINES,
-    n_orig: int = 1,
-    members: frozenset = frozenset(),
+    members: frozenset | None = None,
 ) -> Curve:
-    """Project grid values onto the shape-spline space and re-evaluate."""
+    """Project grid values onto the shape-spline space and re-evaluate; the
+    curve stands for `members`, by default for itself alone."""
+    if members is None:
+        members = frozenset([curve_id])
     design = grid_basis(grid, settings.shape_degree, settings.shape_interior())
     return fit_curve(
         curve_id, grid, grid.points, values, np.ones_like(grid.points), settings,
-        n_orig, members, design,
+        members, design,
     )
 
 
@@ -102,7 +107,7 @@ def smooth_curve(
         )
     curve = fit_curve(
         curve_id, grid, data_points, values, np.ones_like(data_points), settings,
-        n_orig=1, members=frozenset([curve_id]),
+        members=frozenset([curve_id]),
     )
     if centered_norm(curve.samples, grid.weights) <= ZERO_NORM_TOL:
         raise DegenerateDataError(f"curve {curve_id} is constant after smoothing")

@@ -12,6 +12,13 @@ from .errors import ElementMismatchError, InvalidInputError, UndefinedIndexError
 DUNN_INTER = ("I1", "I2", "I3")
 DUNN_INTRA = ("J1", "J2")
 
+# Every index a run can select, under the name its results report: the
+# Silhouette and the generalized Dunn indices of Bezdek & Pal (1998), one per
+# inter-group distance I and intra-group spread J.
+INDEX_NAMES = ("silhouette",) + tuple(
+    f"dunn-{inter}-{intra}" for inter in DUNN_INTER for intra in DUNN_INTRA
+)
+
 
 @dataclass(eq=False)
 class DistanceMatrix:
@@ -136,12 +143,12 @@ def adjusted_rand(p_groups, q_groups) -> float:
     return float((pair_sum - expected) / (maximum - expected))
 
 
-def index_function(name: str, inter: str = "I1", intra: str = "J1"):
-    """The configured clustering index as a callable (groups, dist) -> value."""
+def index_function(name: str):
+    """The index named `name` (one of INDEX_NAMES) as a callable
+    (groups, dist) -> value."""
+    if name not in INDEX_NAMES:
+        raise InvalidInputError(f"unknown clustering index: {name!r}")
     if name == "silhouette":
         return silhouette
-    if name == "dunn":
-        if inter not in DUNN_INTER or intra not in DUNN_INTRA:
-            raise InvalidInputError(f"unknown Dunn variant ({inter}, {intra})")
-        return lambda groups, dist: dunn(groups, dist, inter=inter, intra=intra)
-    raise InvalidInputError(f"unknown clustering index: {name!r}")
+    _, inter, intra = name.split("-")
+    return lambda groups, dist: dunn(groups, dist, inter=inter, intra=intra)

@@ -48,9 +48,7 @@ _BELOW_ONE = 1.0 - 1e-12
 class RunConfig:
     lambda0: float
     quantile_a: float = 0.25
-    index: str = "silhouette"
-    dunn_inter: str = "I1"
-    dunn_intra: str = "J1"
+    index: str = "silhouette"  # one of indices.INDEX_NAMES
     grid_size: int = 500
     max_iterations: int = 10
     splines: SplineSettings = field(default_factory=lambda: DEFAULT_SPLINES)
@@ -63,13 +61,7 @@ class RunConfig:
             raise InvalidInputError("max_iterations must be at least 1")
         if self.grid_size < 50:
             raise InvalidInputError("grid_size must be at least 50")
-        index_function(self.index, self.dunn_inter, self.dunn_intra)
-
-    @property
-    def index_name(self) -> str:
-        if self.index == "dunn":
-            return f"dunn-{self.dunn_inter}-{self.dunn_intra}"
-        return self.index
+        index_function(self.index)
 
 
 @dataclass
@@ -99,7 +91,7 @@ class RunResult:
     logs: Dict[float, List[IterationLog]]
 
 
-def combination_thresholds(original_sims, a: float = 0.25):
+def combination_thresholds(original_sims, a: float = RunConfig.quantile_a):
     """Four thresholds at fixed offsets below the 1-a similarity quantile,
     computed on pair similarities strictly below one."""
     filtered = [s for s in original_sims if s < _BELOW_ONE]
@@ -130,7 +122,7 @@ class _Shared:
         self.originals = originals
         self.matrix = self.build_matrix(originals)
         self.original_dist = distances_from_similarity(self.matrix)
-        self.index_fn = index_function(config.index, config.dunn_inter, config.dunn_intra)
+        self.index_fn = index_function(config.index)
         sims = self.matrix.values()
         below_one = [s for s in sims if s < _BELOW_ONE]
         # with no similarity below one every update is a no-op, so any
@@ -299,7 +291,7 @@ def run(curves: List[Curve], config: RunConfig) -> RunResult:
     return RunResult(
         partition=winner.partition,
         threshold=winner.threshold,
-        index_name=config.index_name,
+        index_name=config.index,
         index_value=winner.score,
         iterations=len(logs[winner.threshold]),
         candidates=all_records,

@@ -16,6 +16,9 @@ DEFAULT_ALPHAS = tuple(0.86 + 0.03 * k for k in range(10))
 
 TWO_PI = 2.0 * math.pi
 
+# Standard deviation of the draws e1..e4 behind the random shapes f4-f6.
+SHAPE_NOISE_SCALE = 0.1
+
 
 def shape_f1(t):
     return np.sin(2.5 * math.pi * t)
@@ -85,7 +88,6 @@ class Scenario:
     sigma: float = 0.15
     n_points: int = 100
     seed: int = 0
-    shape_noise_scale: float = 0.1
     merged: Optional[Tuple[int, int]] = None  # group indexes of the 2-cluster truth
 
     def __post_init__(self):
@@ -119,8 +121,8 @@ def scenario_preset(
     name: str,
     sizes: Optional[Tuple[int, ...]] = None,
     sigma: Optional[float] = None,
-    n_points: int = 100,
-    seed: int = 0,
+    n_points: int = Scenario.n_points,
+    seed: int = Scenario.seed,
 ) -> Scenario:
     presets = {
         "s31": dict(shapes=("f1", "f2", "f3"), warp="power", sigma=0.15, merged=(0, 2)),
@@ -169,7 +171,7 @@ def _shape_for_curve(scenario: Scenario, group_index: int, within_index: int) ->
     if name in FIXED_SHAPES:
         return FIXED_SHAPES[name]
     eps_rng = np.random.default_rng([scenario.seed, 3, within_index])
-    draws = eps_rng.normal(0.0, scenario.shape_noise_scale, 4)
+    draws = eps_rng.normal(0.0, SHAPE_NOISE_SCALE, 4)
     return sang_random_shape(int(name[1]), draws)
 
 

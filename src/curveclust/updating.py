@@ -183,7 +183,6 @@ def _update_with(ctx: UpdateContext, q: _Quantities) -> Curve:
         ctx.target.grid,
         combined,
         settings=ctx.settings,
-        n_orig=ctx.target.n_orig,
         members=ctx.target.members,
     )
 

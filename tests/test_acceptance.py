@@ -184,7 +184,7 @@ class TestCriterion7IndexRobustness:
         agreements = 0
         for seed in SEEDS:
             sil, _ = scaled_runs(seed, 0.5, "silhouette")
-            dun, _ = scaled_runs(seed, 0.5, "dunn")
+            dun, _ = scaled_runs(seed, 0.5, "dunn-I1-J1")
             agreements += frozenset(sil.partition.groups) == frozenset(dun.partition.groups)
         print(f"criterion 7 (Dunn vs Silhouette): {agreements}/5 identical -> "
               f"{'pass' if agreements >= 4 else 'FAIL'}")

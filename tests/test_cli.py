@@ -124,15 +124,18 @@ class TestCluster:
     def test_dunn_index_flags(self, small_dataset, tmp_path):
         curves, _ = small_dataset
         out = tmp_path / "result.json"
-        code = main(
-            [
-                "cluster", "--input", str(curves), "--lambda0", "0.0",
-                "--index", "dunn", "--dunn-inter", "I3", "--dunn-intra", "J2",
-                "--grid", "80", "--max-iter", "3", "--output", str(out),
-            ]
-        )
+        args = [
+            "cluster", "--input", str(curves), "--lambda0", "0.0",
+            "--grid", "80", "--max-iter", "3", "--output", str(out),
+        ]
+        code = main([*args, "--index", "dunn-I3-J2"])
         assert code == 0
         assert json.loads(out.read_text())["index_name"] == "dunn-I3-J2"
+        # `dunn` alone names no index, and there is no --dunn-inter flag
+        for rejected in (["--index", "dunn"], ["--dunn-inter", "I3"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*args, *rejected])
+            assert exc.value.code == 2
 
 
 class TestAlign:
@@ -209,10 +212,10 @@ class TestIndexes:
         )
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0].startswith("silhouette ")
-        names = [line.split()[0] for line in lines[1:]]
+        names = [line.split()[0] for line in lines]
         assert names == [
-            "dunn_I1_J1", "dunn_I1_J2", "dunn_I2_J1", "dunn_I2_J2", "dunn_I3_J1", "dunn_I3_J2",
+            "silhouette",
+            "dunn-I1-J1", "dunn-I1-J2", "dunn-I2-J1", "dunn-I2-J2", "dunn-I3-J1", "dunn-I3-J2",
         ]
 
 
@@ -312,6 +315,30 @@ class TestExitCodes:
         assert captured.out == ""
         errors = captured.err.splitlines()
         assert len(errors) == 1 and errors[0].startswith("error: ")
+
+    def test_too_few_points_to_cluster_invalid_input(self, tmp_path, capsys):
+        # simulate accepts 4 points and up; a cubic shape spline on 16 interior
+        # knots has 20 basis functions, so cluster needs 20 points
+        out, labels = tmp_path / "curves.csv", tmp_path / "labels.csv"
+        code = main(
+            [
+                "simulate", "--scenario", "s31", "--sizes", "2,2,2", "--points", "10",
+                "--out", str(out), "--labels", str(labels),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        result = tmp_path / "result.json"
+        code = main(
+            [
+                "cluster", "--input", str(out), "--lambda0", "0.0", "--grid", "60",
+                "--output", str(result),
+            ]
+        )
+        assert code == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert errors == ["error: need at least 20 samples to fit 20 basis functions, got 10"]
+        assert not result.exists()
 
     @pytest.mark.parametrize(
         "option",

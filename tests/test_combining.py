@@ -276,16 +276,17 @@ class TestCombineGroup:
     def setup_method(self):
         self.grid = uniform_grid(200)
 
-    def curves_and_matrix(self, amplitudes, n_origs=None):
+    def curves_and_matrix(self, amplitudes, sizes=None):
+        """Curve i stands for sizes[i] original curves (default 1), with
+        ids 10 i, 10 i + 1, ..."""
         curves = {}
         for i, amp in enumerate(amplitudes):
-            n = 1 if n_origs is None else n_origs[i]
+            size = 1 if sizes is None else sizes[i]
             curves[i] = refit_on_grid(
                 i,
                 self.grid,
                 amp * sine_shape(self.grid.points),
-                n_orig=n,
-                members=frozenset({i}),
+                members=frozenset(range(10 * i, 10 * i + size)),
             )
         matrix = similarity_matrix(list(curves.values()), 0.0)
         return curves, matrix
@@ -297,7 +298,7 @@ class TestCombineGroup:
 
     def test_weight_equals_replication(self):
         # weights (3,1) equal the fit with the first member's samples tripled
-        curves, matrix = self.curves_and_matrix([1.0, 1.6], n_origs=[3, 1])
+        curves, matrix = self.curves_and_matrix([1.0, 1.6], sizes=[3, 1])
         rep = combine_group([0, 1], curves, matrix)
 
         from curveclust.splines import evaluate, fit_least_squares, uniform_interior_knots
@@ -313,10 +314,10 @@ class TestCombineGroup:
         )
 
     def test_bookkeeping(self):
-        curves, matrix = self.curves_and_matrix([1.0, 1.2, 0.9], n_origs=[2, 1, 4])
+        curves, matrix = self.curves_and_matrix([1.0, 1.2, 0.9], sizes=[2, 1, 4])
         rep = combine_group([0, 1, 2], curves, matrix)
         assert rep.n_orig == 7
-        assert rep.members == frozenset({0, 1, 2})
+        assert rep.members == frozenset({0, 1, 10, 20, 21, 22, 23})
         assert rep.id == 0
 
     def test_member_order_invariance(self):

@@ -7,6 +7,7 @@ from curveclust.errors import ElementMismatchError, InvalidInputError, Undefined
 from curveclust.indices import (
     DUNN_INTER,
     DUNN_INTRA,
+    INDEX_NAMES,
     adjusted_rand,
     distances_from_similarity,
     dunn,
@@ -293,7 +294,21 @@ class TestIndexFunction:
         dist = pinned({("a", "b"): 0.1, ("a", "c"): 1.0, ("b", "c"): 1.0})
         groups = [{"a", "b"}, {"c"}]
         assert index_function("silhouette")(groups, dist) == pytest.approx(0.6)
-        assert index_function("dunn", "I1", "J1")(groups, dist) == pytest.approx(10.0)
+        assert index_function("dunn-I1-J1")(groups, dist) == pytest.approx(10.0)
+        # each name gives the value of the call it names, on groups where
+        # every inter distance and every intra spread differs
+        rng = np.random.default_rng(3)
+        ids = range(9)
+        dist = pinned({(i, j): rng.uniform(0.1, 1) for i in ids for j in ids if i < j})
+        groups = [{0, 1, 2}, {3, 4, 5}, {6, 7, 8}]
+        direct = {"silhouette": silhouette(groups, dist)}
+        for inter in DUNN_INTER:
+            for intra in DUNN_INTRA:
+                direct[f"dunn-{inter}-{intra}"] = dunn(groups, dist, inter, intra)
+        assert list(INDEX_NAMES) == list(direct)
+        assert len(set(direct.values())) == len(direct)
+        for name in INDEX_NAMES:
+            assert index_function(name)(groups, dist) == direct[name]
 
 
 class TestArrayStoreMatchesPairStore:

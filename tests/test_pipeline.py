@@ -3,6 +3,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curveclust import pipeline
 from curveclust.combining import Partition
@@ -81,10 +83,9 @@ class TestPrepareCurves:
         with pytest.raises(InvalidInputError):
             RunConfig(lambda0=0.0, max_iterations=0)
         # an unknown index is rejected before any similarity is computed
-        for index in (dict(index="silhoutte"), dict(index="dunn", dunn_inter="I4"),
-                      dict(index="dunn", dunn_intra="j1")):
+        for index in ("silhoutte", "dunn", "dunn_I1_J1", "dunn-I4-J1", "dunn-I1-j1"):
             with pytest.raises(InvalidInputError):
-                RunConfig(lambda0=0.0, **index)
+                RunConfig(lambda0=0.0, index=index)
 
 
 def tiny_run_config(**kwargs):
@@ -305,29 +306,35 @@ def _recorded_builds(monkeypatch):
     return events
 
 
-def _design(seed, rows=None, **config):
-    """Two groups of three noisy curves, grid 100, lambda0 0.5, at most 4
-    iterations unless `config` says otherwise; curve i is input row
-    `rows[i]` when `rows` is given."""
+def _design(seed, rows=range(6), ids=range(6), **config):
+    """Two groups of three noisy curves (input rows 0-2 and 3-5), grid 100,
+    lambda0 0.5, at most 4 iterations unless `config` says otherwise; curve k
+    is input row `rows[k]` under id `ids[k]`."""
     sc = Scenario(shapes=("f1", "f2"), warp="power", alphas=(0.9, 1.1),
                   sizes=(3, 3), sigma=0.1, n_points=80, seed=seed)
     data = generate(sc)
     config = tiny_run_config(lambda0=0.5, **config)
-    samples = data.samples if rows is None else data.samples[rows]
-    return prepare_curves(data.points, samples, config), config
+    grid = uniform_grid(config.grid_size)
+    curves = [smooth_curve(i, data.points, data.samples[r], grid) for i, r in zip(ids, rows)]
+    return curves, config
 
 
 class TestRowOrder:
-    def test_permuted_rows_give_the_same_partition(self):
-        curves, config = _design(1)
-        expected = set(run(curves, config).partition.groups)
-        assert len(expected) == 2
-        for rows in ([5, 4, 3, 2, 1, 0], [3, 0, 4, 1, 5, 2]):
-            permuted, _ = _design(1, rows)
-            groups = run(permuted, config).partition.groups
-            # only partitions compare: which way a pair is searched follows
-            # the ids, so index values can move slightly
-            assert {frozenset(rows[i] for i in g) for g in groups} == expected
+    @settings(max_examples=5)
+    @given(
+        rows=st.permutations(range(6)),
+        ids=st.lists(st.integers(0, 10**6), min_size=6, max_size=6, unique=True),
+    )
+    def test_permuted_rows_give_the_same_partition(self, rows, ids):
+        curves, config = _design(1, rows, ids)
+        groups = run(curves, config).partition.groups
+        # only partitions compare: which way a pair is searched follows the
+        # ids, so index values can move slightly.  The weights of the combine
+        # and update steps count member ids, so they must not depend on them
+        row_of = dict(zip(ids, rows))
+        assert {frozenset(row_of[i] for i in g) for g in groups} == {
+            frozenset({0, 1, 2}), frozenset({3, 4, 5})
+        }
 
 
 class TestLockstepLoops:
@@ -339,7 +346,7 @@ class TestLockstepLoops:
         [
             # the last threshold's loop ends after one round, the others run on
             (5, {}, [[2, 0, 0, 0]] * 3 + [[2]]),
-            (2, {"index": "dunn"}, [[2, 0, 0, 0]] * 2 + [[2, 1, 0, 0], [2, 0, 0, 0]]),
+            (2, {"index": "dunn-I1-J1"}, [[2, 0, 0, 0]] * 2 + [[2, 1, 0, 0], [2, 0, 0, 0]]),
             (9, {"max_iterations": 2}, [[2, 0]] * 2 + [[2, 1], [2, 0]]),
         ],
         ids=["diverging", "dunn", "two-iterations"],

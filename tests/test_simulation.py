@@ -7,6 +7,7 @@ from curveclust.curves import refit_on_grid
 from curveclust.errors import InvalidInputError
 from curveclust.similarity import similarity
 from curveclust.simulation import (
+    SHAPE_NOISE_SCALE,
     Scenario,
     generate,
     sang_random_shape,
@@ -95,7 +96,7 @@ class TestSangRandomShapes:
         # same replication index in different groups shares its draws: the
         # first curve of each group must differ only through the shape formula
         sc = scenario_preset("s33a", sizes=(3, 3, 3), seed=4)
-        eps = np.random.default_rng([sc.seed, 3, 0]).normal(0.0, sc.shape_noise_scale, 4)
+        eps = np.random.default_rng([sc.seed, 3, 0]).normal(0.0, SHAPE_NOISE_SCALE, 4)
         for g, which in enumerate((4, 5, 6)):
             expected = sang_random_shape(which, eps)(data.points)
             np.testing.assert_allclose(data.samples[3 * g], expected, atol=1e-12)

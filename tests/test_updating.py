@@ -342,7 +342,7 @@ class TestUpdateCurve:
         rng = np.random.default_rng(12)
         ctx = make_context(rng, k=3)
         target = normalize(
-            refit_on_grid(7, GRID, ctx.target.samples, n_orig=3, members=frozenset({1, 2, 7}))
+            refit_on_grid(7, GRID, ctx.target.samples, members=frozenset({1, 2, 7}))
         )
         ctx = UpdateContext(
             target=target,
