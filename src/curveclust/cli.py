@@ -122,6 +122,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     predicted = read_partition_json(args.pred)
+    seen = set()
+    for name in (name for group in predicted for name in group):
+        if name in seen:
+            raise InvalidInputError(f"curve id {name!r} is listed twice in the partition")
+        seen.add(name)
     labels = read_labels_csv(args.truth)
     by_label: dict = {}
     for name, label in labels.items():

@@ -10,6 +10,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidInputError
+from .splines import DEFAULT_SPLINES, n_basis
 
 # Power-warp exponents: 0.86 + 0.03 (k - 1), k = 1..10.
 DEFAULT_ALPHAS = tuple(0.86 + 0.03 * k for k in range(10))
@@ -18,6 +19,10 @@ TWO_PI = 2.0 * math.pi
 
 # Standard deviation of the draws e1..e4 behind the random shapes f4-f6.
 SHAPE_NOISE_SCALE = 0.1
+
+# The fewest time points a simulated curve may have: `cluster` smooths each
+# curve with the default shape spline, which needs a sample per basis function.
+MIN_POINTS = n_basis(DEFAULT_SPLINES.shape_degree, DEFAULT_SPLINES.shape_interior())
 
 
 def shape_f1(t):
@@ -97,8 +102,10 @@ class Scenario:
             raise InvalidInputError("group sizes must be positive")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise InvalidInputError("sigma must be finite and nonnegative")
-        if self.n_points < 4:
-            raise InvalidInputError("need at least 4 time points")
+        if self.n_points < MIN_POINTS:
+            raise InvalidInputError(
+                f"need at least {MIN_POINTS} time points, one per shape-spline basis function"
+            )
         if self.seed < 0:
             raise InvalidInputError("seed must be nonnegative")
         for name in self.shapes:

@@ -11,9 +11,11 @@ spline space, on 23 equally spaced interior knots.
 The optimizer runs the Nelder-Mead searches of many (pair, start) rows in
 lockstep (`minimize`), one batched objective call per round for all of them
 (`_proxy_values`); each row's search and values are, bit for bit, those of
-scipy's Nelder-Mead on the one-row objective.  A build (`final_points`)
-scores each start and final point exactly where it was searched, and
-`optimize_warping` picks each pair's warp from the pair's rows.
+scipy's Nelder-Mead on the one-row objective.  A row's whole search, restarts
+included, is one flat generator (`_start_search`) with scipy's step
+arithmetic written out per coordinate, so a round costs each row one `send`.
+A build (`final_points`) scores each start and final point exactly where it
+was searched, and `optimize_warping` picks each pair's warp from its rows.
 """
 
 from __future__ import annotations
@@ -132,6 +134,8 @@ WARP_DEGREE = 2
 WARP_INTERIOR = _read_only(uniform_interior_knots(3))
 INVERSE_INTERIOR = _read_only(uniform_interior_knots(23))
 _GREVILLE_STEPS = _read_only(np.diff(greville_abscissae(WARP_DEGREE, WARP_INTERIOR)))
+_N_RAW = 5  # raw parameters of a warp; `_start_search` writes its centroid out for 5
+assert len(_GREVILLE_STEPS) == _N_RAW
 _LAYOUTS = (WARP_INTERIOR, INVERSE_INTERIOR)
 
 
@@ -384,11 +388,6 @@ def _clip_unit(x: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(x, -1.0, out=x), 1.0, out=x)
 
 
-# Nelder-Mead coefficients (scipy's defaults): reflection, expansion,
-# contraction and shrink.
-_REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1, 2, 0.5, 0.5
-
-
 def _ordered(sim: list, fsim: list) -> tuple:
     """Vertices and values in `np.argsort(fsim)` order, scipy's order, and
     whether the values are distinct and not NaN.
@@ -407,111 +406,101 @@ def _ordered(sim: list, fsim: list) -> tuple:
     return [sim[i] for i in order], values, distinct
 
 
-def _nelder_mead(sim: list, maxfev: int):
-    """scipy's `_minimize_neldermead` from `initial_simplex=sim`, with its
-    default coefficients, `maxfev` and `xatol=_XATOL`, `fatol=_FATOL`, step for
-    step, as a generator: it yields each point to evaluate, is sent the point's
-    value, and returns the final point, its value and the evaluations spent.
+def _start_search(x: list, final: np.ndarray):
+    """One start's search as a generator: it yields each point to evaluate
+    (a list of floats) and is sent the point's value.  When the search ends
+    it writes its final point into `final` and yields None.
 
-    Points are lists of floats whose arithmetic is scipy's per coordinate; the
-    centroid sums the vertices in order, as `np.add.reduce(sim[:-1], 0)` does.
-    When the budget runs out mid-step, the step ends where scipy's does: an
-    expansion or contraction changes nothing, and a shrink keeps the vertex it
-    moved but could not evaluate.
+    The search runs scipy's `_minimize_neldermead` from a simplex of edge
+    `_SIMPLEX_STEP` at x, step for step, with its default coefficients,
+    `xatol=_XATOL` and `fatol=_FATOL`.  It restarts from the final point with
+    an edge a third as long (at least 1e-3) for as long as a run improves the
+    value by more than 1e-13 and more than 2 (n + 1) of the start's
+    `_BUDGET_PER_START` evaluations remain; x's own first evaluation is
+    outside the budget.  Each run evaluates its first vertex again, as scipy
+    does, and stops where scipy's would when its budget runs out mid-step:
+    an expansion or contraction changes nothing, and a shrink keeps the
+    vertex it moved but could not evaluate.
 
-    The simplex stays in scipy's order (`_ordered`).  After a step that only
-    replaces the worst vertex, and while the values are distinct and not NaN,
-    the new vertex is inserted where it sorts (`bisect`), unless it is NaN or
-    equals another value.  Once sorted, `fsim[-1] - fsim[0]` is scipy's
-    largest value difference, so that cheap test comes before the test on the
-    coordinates.
+    Each coordinate gets scipy's float operations in scipy's order: the
+    centroid sums the vertices from the best one on, as
+    `np.add.reduce(sim[:-1], 0)` does (a sum from 0.0 would turn -0.0 into
+    0.0), and each step is the expression scipy's coefficients reduce to (the
+    reflection's `1 * v` is `v` exactly).  The simplex stays in scipy's order
+    (`_ordered`).  After a step that only replaces the worst vertex, and
+    while the values are distinct and not NaN, the new vertex is inserted
+    where it sorts (`bisect`), unless it is NaN or equals another value.
+    Once sorted, `fsim[-1] - fsim[0]` is scipy's largest value difference, so
+    that cheap test comes before the test on the coordinates.
     """
-    n = len(sim) - 1
-    fsim = []
-    for x in sim:
-        fsim.append((yield x))
-    calls = n + 1
-    sim, fsim, distinct = _ordered(*_ordered(sim, fsim)[:2])  # scipy sorts twice here
-    while calls < maxfev:
-        best = sim[0]
-        if fsim[-1] - fsim[0] <= _FATOL and all(
-            abs(a - b) <= _XATOL for x in sim[1:] for a, b in zip(x, best)
-        ):
-            break
-        total = best
-        for vertex in sim[1:-1]:
-            total = [a + b for a, b in zip(total, vertex)]
-        xbar = [c / n for c in total]
-        worst = sim[-1]
-        xr = [(1 + _REFLECT) * c - _REFLECT * v for c, v in zip(xbar, worst)]
-        fxr = yield xr
-        calls += 1
-        new = None  # the vertex that replaces the worst one, with its value
-        if fxr < fsim[0]:
-            if calls < maxfev:
-                k = _REFLECT * _EXPAND
-                xe = [(1 + k) * c - k * v for c, v in zip(xbar, worst)]
-                fxe = yield xe
-                calls += 1
-                new = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            new = xr, fxr
-        elif calls < maxfev:
-            if fxr < fsim[-1]:
-                k = _CONTRACT * _REFLECT
-                xc = [(1 + k) * c - k * v for c, v in zip(xbar, worst)]
-                fxc = yield xc
-                calls += 1
-                if fxc <= fxr:
-                    new = xc, fxc
-            else:
-                xcc = [(1 - _CONTRACT) * c + _CONTRACT * v for c, v in zip(xbar, worst)]
-                fxcc = yield xcc
-                calls += 1
-                if fxcc < fsim[-1]:
-                    new = xcc, fxcc
-            if new is None:  # shrink towards the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = [a + _SHRINK * (b - a) for a, b in zip(sim[0], sim[j])]
-                    if calls == maxfev:
-                        break
-                    fsim[j] = yield sim[j]
-                    calls += 1
-        if new is not None:
-            x, fx = new
-            if distinct:
-                i = bisect.bisect_left(fsim, fx, 0, n)
-                if i == n or fx < fsim[i]:  # distinct from the rest, not NaN
-                    del sim[-1], fsim[-1]
-                    sim.insert(i, x)
-                    fsim.insert(i, fx)
-                    continue
-            sim[-1], fsim[-1] = x, fx
-        sim, fsim, distinct = _ordered(sim, fsim)
-    return sim[0], np.min(fsim), calls
-
-
-def _start_search(x0: np.ndarray):
-    """One start's search as a generator, like `_nelder_mead`: Nelder-Mead
-    from a simplex of edge `_SIMPLEX_STEP` at x0, restarted from its final
-    point with an edge a third as long (at least 1e-3) for as long as a run
-    improves the value by more than 1e-13 and more than 2 (n + 1) of the
-    start's `_BUDGET_PER_START` evaluations remain; x0's own first evaluation
-    is outside the budget.  Returns the final point."""
-    x = x0.tolist()
     fx = yield x
     remaining, step = _BUDGET_PER_START, _SIMPLEX_STEP
-    while remaining > 2 * (len(x) + 1):
-        simplex = [x] + [
-            [a + (step if i == j else 0.0) for i, a in enumerate(x)] for j in range(len(x))
-        ]
-        xn, fn, nfev = yield from _nelder_mead(simplex, remaining)
-        remaining -= nfev
+    while remaining > 2 * (_N_RAW + 1):
+        sim = [x] + [[a + step * (i == j) for i, a in enumerate(x)] for j in range(_N_RAW)]
+        fsim = []
+        for vertex in sim:
+            fsim.append((yield vertex))
+        calls = _N_RAW + 1
+        sim, fsim, distinct = _ordered(*_ordered(sim, fsim)[:2])  # scipy sorts twice here
+        while calls < remaining:
+            best = sim[0]
+            if fsim[-1] - fsim[0] <= _FATOL and all(
+                abs(a - b) <= _XATOL for v in sim[1:] for a, b in zip(v, best)
+            ):
+                break
+            s0, s1, s2, s3, s4, worst = sim
+            xbar = [(a + b + c + d + e) / 5 for a, b, c, d, e in zip(s0, s1, s2, s3, s4)]
+            xr = [2 * c - v for c, v in zip(xbar, worst)]
+            fxr = yield xr
+            calls += 1
+            new = None  # the vertex that replaces the worst one, with its value
+            if fxr < fsim[0]:
+                if calls < remaining:
+                    xe = [3 * c - 2 * v for c, v in zip(xbar, worst)]
+                    fxe = yield xe
+                    calls += 1
+                    new = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                new = xr, fxr
+            elif calls < remaining:
+                if fxr < fsim[-1]:
+                    xc = [1.5 * c - 0.5 * v for c, v in zip(xbar, worst)]
+                    fxc = yield xc
+                    calls += 1
+                    if fxc <= fxr:
+                        new = xc, fxc
+                else:
+                    xcc = [0.5 * c + 0.5 * v for c, v in zip(xbar, worst)]
+                    fxcc = yield xcc
+                    calls += 1
+                    if fxcc < fsim[-1]:
+                        new = xcc, fxcc
+                if new is None:  # shrink towards the best vertex
+                    for j in range(1, _N_RAW + 1):
+                        sim[j] = [a + 0.5 * (b - a) for a, b in zip(best, sim[j])]
+                        if calls == remaining:
+                            break
+                        fsim[j] = yield sim[j]
+                        calls += 1
+            if new is not None:
+                v, fv = new
+                if distinct:
+                    i = bisect.bisect_left(fsim, fv, 0, _N_RAW)
+                    if i == _N_RAW or fv < fsim[i]:  # distinct from the rest, not NaN
+                        del sim[-1], fsim[-1]
+                        sim.insert(i, v)
+                        fsim.insert(i, fv)
+                        continue
+                sim[-1], fsim[-1] = v, fv
+            sim, fsim, distinct = _ordered(sim, fsim)
+        remaining -= calls
+        fn = np.min(fsim)  # scipy's final value, NaN when any vertex value is NaN
         if fn >= fx - 1e-13:
             break
-        x, fx = xn, fn
+        x, fx = sim[0], fn
         step = max(step / 3.0, 1e-3)
-    return x
+    final[:] = x
+    yield None
 
 
 @dataclass(eq=False)
@@ -530,28 +519,26 @@ def minimize(values, x0s: np.ndarray) -> SearchResult:
     Each round takes the one point that each unfinished row waits on and
     makes one `values(rows, points)` call for all of them (`rows` holds the
     row indices, and is the same array object from one round to the next
-    until a row finishes); each row then gets its own value back.  A row's
-    points do not depend on the other rows, so its final point is that of its
-    search alone.
+    until a row finishes); each row then gets its own value back, and a row
+    whose search yields None has written its final point and leaves the
+    rounds.  A row's points do not depend on the other rows, so its final
+    point is that of its search alone.
     """
-    searches = [_start_search(x0).send for x0 in x0s]
-    active = list(range(len(searches)))
-    rows = np.array(active)  # the same array until a row finishes
-    points = [search(None) for search in searches]
     finals = np.array(x0s, dtype=float)
+    sends = [_start_search(x0, final).send for x0, final in zip(finals.tolist(), finals)]
+    rows = np.arange(len(sends))
+    points = [send(None) for send in sends]
     nfev = 0
-    while active:
-        fx = values(rows, np.array(points)).tolist()
-        nfev += len(active)
-        waiting, points = [], []
-        for row, value in zip(active, fx):
-            try:
-                points.append(searches[row](value))
-                waiting.append(row)
-            except StopIteration as done:
-                finals[row] = done.value
-        if len(waiting) < len(active):
-            active, rows = waiting, np.array(waiting)
+    while sends:
+        packed = np.fromiter(itertools.chain.from_iterable(points), float, _N_RAW * len(points))
+        fx = values(rows, packed.reshape(-1, _N_RAW)).tolist()
+        nfev += len(fx)
+        points = [send(value) for send, value in zip(sends, fx)]
+        if None in points:  # a row has finished
+            going = [i for i, point in enumerate(points) if point is not None]
+            rows = rows[going]
+            sends = [sends[i] for i in going]
+            points = [points[i] for i in going]
     return SearchResult(finals, nfev)
 
 

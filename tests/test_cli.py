@@ -317,21 +317,16 @@ class TestExitCodes:
         assert len(errors) == 1 and errors[0].startswith("error: ")
 
     def test_too_few_points_to_cluster_invalid_input(self, tmp_path, capsys):
-        # simulate accepts 4 points and up; a cubic shape spline on 16 interior
-        # knots has 20 basis functions, so cluster needs 20 points
-        out, labels = tmp_path / "curves.csv", tmp_path / "labels.csv"
-        code = main(
-            [
-                "simulate", "--scenario", "s31", "--sizes", "2,2,2", "--points", "10",
-                "--out", str(out), "--labels", str(labels),
-            ]
-        )
-        assert code == 0
-        capsys.readouterr()
+        # a cubic shape spline on 16 interior knots has 20 basis functions, so
+        # cluster needs 20 points
+        points = np.linspace(0.0, 1.0, 10)
+        path = tmp_path / "curves.csv"
+        ids = [str(i) for i in range(6)]
+        write_curves_csv(path, ids, points, [np.sin(3.0 * points + i) for i in range(6)])
         result = tmp_path / "result.json"
         code = main(
             [
-                "cluster", "--input", str(out), "--lambda0", "0.0", "--grid", "60",
+                "cluster", "--input", str(path), "--lambda0", "0.0", "--grid", "60",
                 "--output", str(result),
             ]
         )
@@ -339,6 +334,38 @@ class TestExitCodes:
         errors = capsys.readouterr().err.splitlines()
         assert errors == ["error: need at least 20 samples to fit 20 basis functions, got 10"]
         assert not result.exists()
+
+    @pytest.mark.parametrize("points, code", [(10, 2), (19, 2), (20, 0)])
+    def test_simulate_writes_only_files_cluster_can_fit(self, tmp_path, capsys, points, code):
+        out, labels = tmp_path / "curves.csv", tmp_path / "labels.csv"
+        args = ["simulate", "--scenario", "s31", "--sizes", "2,2,2", "--points", str(points)]
+        assert main([*args, "--out", str(out), "--labels", str(labels)]) == code
+        errors = capsys.readouterr().err.splitlines()
+        if code == 2:
+            assert errors == [
+                "error: need at least 20 time points, one per shape-spline basis function"
+            ]
+            assert not out.exists() and not labels.exists()
+        else:
+            assert errors == [] and len(read_curves_csv(out)[1]) == 20
+
+    @pytest.mark.parametrize(
+        "partition",
+        [[["0", "1", "1"], ["2", "3", "4", "5"]], [["0", "1"], ["1", "2", "3", "4", "5"]]],
+        ids=["within a group", "in two groups"],
+    )
+    def test_repeated_predicted_id_invalid_input(self, tmp_path, capsys, partition):
+        pred, truth = tmp_path / "pred.json", tmp_path / "truth.csv"
+        pred.write_text(json.dumps(partition))
+        ids = [str(i) for i in range(6)]
+        write_labels_csv(truth, ids, dict(zip(ids, [1, 1, 2, 2, 3, 3])))
+        code = main(["evaluate", "--pred", str(pred), "--truth", str(truth)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: curve id '1' is listed twice in the partition"
+        ]
 
     @pytest.mark.parametrize(
         "option",
