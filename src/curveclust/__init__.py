@@ -12,12 +12,13 @@ from .similarity import (
     similarity_matrix,
 )
 from .simulation import Scenario, generate, scenario_preset
-from .splines import SplineRep, SplineSettings, uniform_grid
+from .splines import Layout, SplineRep, uniform_grid
 from .updating import UpdateContext, update_all, update_curve, weight_exponent
 from .warping import Warping, invert_warping, make_warping, roughness_penalty
 
 __all__ = [
     "Curve",
+    "Layout",
     "Partition",
     "RunConfig",
     "RunResult",
@@ -25,7 +26,6 @@ __all__ = [
     "SimilarityEntry",
     "SimilarityMatrix",
     "SplineRep",
-    "SplineSettings",
     "UpdateContext",
     "Warping",
     "adjusted_rand",

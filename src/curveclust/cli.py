@@ -142,6 +142,8 @@ def _cmd_align(args) -> int:
     parts = args.pair.split(",")
     if len(parts) != 2:
         raise InvalidInputError("--pair needs exactly two ids, e.g. 3,7")
+    if parts[0] == parts[1]:
+        raise InvalidInputError(f"curve id {parts[0]!r} is listed twice in --pair")
     config = RunConfig(lambda0=args.lambda0, grid_size=args.grid)
     names, curves = _load_curves(args.input, config)
     index_of = {name: i for i, name in enumerate(names)}

@@ -12,7 +12,7 @@ import numpy as np
 from .curves import Curve, fit_curve
 from .errors import InvalidInputError
 from .products import sum_in_order
-from .splines import DEFAULT_SPLINES, SplineSettings
+from .splines import SHAPE, Layout
 
 
 @dataclass
@@ -128,7 +128,7 @@ def combine_group(
     group: Sequence[int],
     curves_by_id: dict,
     matrix,
-    settings: SplineSettings = DEFAULT_SPLINES,
+    settings: Layout = SHAPE,
 ) -> Curve:
     """Merge a group into one representative curve.
 

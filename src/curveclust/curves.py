@@ -11,15 +11,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, InvalidInputError
 from .products import centered_norm, ZERO_NORM_TOL
-from .splines import (
-    DEFAULT_SPLINES,
-    Grid,
-    SplineRep,
-    SplineSettings,
-    evaluate,
-    fit_least_squares,
-    grid_basis,
-)
+from .splines import SHAPE, Grid, Layout, SplineRep, evaluate, fit_least_squares
 
 # The largest sample magnitude a curve may have.  Squares and products of two
 # curves' samples overflow (the largest float is about 1.8e308) from about
@@ -55,16 +47,14 @@ def fit_curve(
     x,
     y,
     weights,
-    settings: SplineSettings,
+    settings: Layout,
     members: frozenset,
     design=None,
 ) -> Curve:
-    """The shape spline fit to (x, y) by weighted least squares, as a curve
-    sampled on `grid`; `design` is the fit's basis matrix when the caller
-    already has it."""
-    spline = fit_least_squares(
-        x, y, weights, settings.shape_degree, settings.shape_interior(), design
-    )
+    """The spline in `settings`, the shape layout, fit to (x, y) by weighted
+    least squares, as a curve sampled on `grid`; `design` is the fit's basis
+    matrix when the caller already has it."""
+    spline = fit_least_squares(x, y, weights, settings, design)
     return Curve(curve_id, grid, evaluate(spline, grid.points), spline, members)
 
 
@@ -72,14 +62,14 @@ def refit_on_grid(
     curve_id: int,
     grid: Grid,
     values: np.ndarray,
-    settings: SplineSettings = DEFAULT_SPLINES,
+    settings: Layout = SHAPE,
     members: frozenset | None = None,
 ) -> Curve:
     """Project grid values onto the shape-spline space and re-evaluate; the
     curve stands for `members`, by default for itself alone."""
     if members is None:
         members = frozenset([curve_id])
-    design = grid_basis(grid, settings.shape_degree, settings.shape_interior())
+    design = settings.on_grid(grid)
     return fit_curve(
         curve_id, grid, grid.points, values, np.ones_like(grid.points), settings,
         members, design,
@@ -91,7 +81,7 @@ def smooth_curve(
     data_points,
     values,
     grid: Grid,
-    settings: SplineSettings = DEFAULT_SPLINES,
+    settings: Layout = SHAPE,
 ) -> Curve:
     """Ingest a raw observed curve: pre-smooth on its own time points, then
     evaluate on the shared run grid.  Constant curves are rejected, and so are

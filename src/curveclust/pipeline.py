@@ -12,7 +12,7 @@ entry."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
@@ -28,7 +28,7 @@ from .curves import Curve, smooth_curve
 from .errors import DegenerateDataError, InvalidInputError
 from .indices import DistanceMatrix, distances_from_similarity, index_function
 from .similarity import PairCache, SimilarityMatrix, search_uncached, similarity_matrix
-from .splines import DEFAULT_SPLINES, SplineSettings, check_time_points, uniform_grid
+from .splines import SHAPE, Layout, check_time_points, uniform_grid
 from .updating import update_all, weight_exponent
 from .warping import check_lambda0, warp_samples
 
@@ -51,7 +51,7 @@ class RunConfig:
     index: str = "silhouette"  # one of indices.INDEX_NAMES
     grid_size: int = 500
     max_iterations: int = 10
-    splines: SplineSettings = field(default_factory=lambda: DEFAULT_SPLINES)
+    splines: Layout = SHAPE
 
     def __post_init__(self):
         check_lambda0(self.lambda0)

@@ -10,7 +10,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .splines import DEFAULT_SPLINES, n_basis
+from .splines import SHAPE
 
 # Power-warp exponents: 0.86 + 0.03 (k - 1), k = 1..10.
 DEFAULT_ALPHAS = tuple(0.86 + 0.03 * k for k in range(10))
@@ -22,7 +22,7 @@ SHAPE_NOISE_SCALE = 0.1
 
 # The fewest time points a simulated curve may have: `cluster` smooths each
 # curve with the default shape spline, which needs a sample per basis function.
-MIN_POINTS = n_basis(DEFAULT_SPLINES.shape_degree, DEFAULT_SPLINES.shape_interior())
+MIN_POINTS = SHAPE.size
 
 
 def shape_f1(t):

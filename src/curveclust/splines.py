@@ -1,9 +1,15 @@
 """Clamped B-spline representation, evaluation, differentiation and least-squares
 fitting on the unit interval.
 
-All splines use an open uniform (clamped) knot vector on [0, 1], so the value at
-0 is the first coefficient and the value at 1 is the last one.  That property is
+All splines use an open (clamped) knot vector on [0, 1], so the value at 0 is
+the first coefficient and the value at 1 is the last one.  That property is
 what lets warping functions pin their endpoints exactly.
+
+A spline space is one `Layout` (degree and interior knots), shared by every
+spline in it and compared by identity; it caches its knot vector and, per
+grid, its design matrices.  The package uses three: `SHAPE` here, the cubic
+shape space on 16 equally spaced interior knots, and `warping.WARP` and
+`warping.INVERSE`.
 
 scipy is used only through its compiled module `scipy.interpolate._dierckx`,
 loaded from its file without running scipy's package initializers (importing
@@ -19,7 +25,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -66,28 +72,6 @@ def _compiled_splines():
 
 
 _compiled = _compiled_splines()
-
-
-@dataclass(frozen=True)
-class SplineSettings:
-    """Shape-spline layout shared by a whole run: cubic with 16 equally spaced
-    interior knots by default.  The warp family is fixed in `warping`."""
-
-    shape_degree: int = 3
-    shape_knots: int = 16
-
-    def shape_interior(self) -> np.ndarray:
-        return uniform_interior_knots(self.shape_knots)
-
-
-DEFAULT_SPLINES = SplineSettings()
-
-
-def uniform_interior_knots(count: int) -> np.ndarray:
-    """`count` equally spaced knots strictly inside (0, 1)."""
-    if count < 0:
-        raise InvalidKnotsError(f"negative knot count: {count}")
-    return np.linspace(0.0, 1.0, count + 2)[1:-1]
 
 
 @dataclass(eq=False)
@@ -137,13 +121,99 @@ def uniform_grid(n: int) -> Grid:
     return make_grid(np.linspace(0.0, 1.0, n))
 
 
-def knot_vector(degree: int, interior_knots: np.ndarray) -> np.ndarray:
-    interior = np.asarray(interior_knots, dtype=float)
-    return np.concatenate([np.zeros(degree + 1), interior, np.ones(degree + 1)])
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
-def n_basis(degree: int, interior_knots) -> int:
-    return len(interior_knots) + degree + 1
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """A clamped spline space on [0, 1]: the degree and the interior knots.
+
+    `interior` is a read-only copy of the knots given, checked to be strictly
+    increasing and strictly inside (0, 1).  The designs of `on_grid` and
+    `derivative_on_grid` are built once per grid and kept read-only.
+    """
+
+    degree: int
+    interior: np.ndarray
+    _designs: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        interior = np.array(self.interior, dtype=float)
+        if interior.size:
+            if np.any(np.diff(interior) <= 0):
+                raise InvalidKnotsError("interior knots must be strictly increasing")
+            if interior[0] <= 0.0 or interior[-1] >= 1.0:
+                raise InvalidKnotsError("interior knots must lie strictly inside (0, 1)")
+        object.__setattr__(self, "interior", _read_only(interior))
+
+    @cached_property
+    def knots(self) -> np.ndarray:
+        ends = self.degree + 1
+        return _read_only(np.concatenate([np.zeros(ends), self.interior, np.ones(ends)]))
+
+    @cached_property
+    def size(self) -> int:
+        """The number of basis functions."""
+        return len(self.interior) + self.degree + 1
+
+    @cached_property
+    def lower(self) -> "Layout":
+        """The same interior knots one degree lower: the derivatives' space."""
+        return Layout(self.degree - 1, self.interior)
+
+    def basis(self, x) -> np.ndarray:
+        """Dense matrix of the basis values at points in [0, 1], rows = points,
+        cols = basis.
+
+        Every row sums to 1 (partition of unity) and all entries are in
+        [0, 1].  The bytes are `BSpline.design_matrix(...).toarray()`'s: the
+        same compiled routine gives each row's k + 1 nonzero values and their
+        first column, and they are added into zeros as the sparse-to-dense
+        conversion adds them, without building the sparse matrix.
+        """
+        if self.degree < 1:
+            raise UnsupportedDegreeError(f"degree must be >= 1, got {self.degree}")
+        pts = np.asarray(x, dtype=float)
+        if np.any(pts < -_EDGE_TOL) or np.any(pts > 1.0 + _EDGE_TOL):
+            raise InvalidInputError("evaluation points must lie in [0, 1]")
+        pts = np.clip(pts, 0.0, 1.0)
+        k = self.degree
+        rows, first, _ = _compiled.data_matrix(pts, self.knots, k, np.ones_like(pts), False)
+        dense = np.zeros((len(pts), self.size))
+        dense[np.arange(len(pts))[:, None], first[:, None] + np.arange(k + 1)] += rows
+        return dense
+
+    def _design(self, key, build) -> np.ndarray:
+        design = self._designs.get(key)
+        if design is None:
+            design = self._designs[key] = _read_only(build())
+        return design
+
+    def on_grid(self, grid: Grid) -> np.ndarray:
+        """`basis` at the grid's points."""
+        return self._design(grid.key, lambda: self.basis(grid.points))
+
+    def derivative_on_grid(self, grid: Grid) -> np.ndarray:
+        """The design whose product with a spline's coefficients is the
+        spline's derivative at the grid's points: `lower.on_grid` times
+        `_difference_operator`."""
+        return self._design(
+            (grid.key, "derivative"),
+            lambda: self.lower.on_grid(grid) @ _difference_operator(self),
+        )
+
+
+def uniform_layout(degree: int, count: int) -> Layout:
+    """The layout with `count` equally spaced knots strictly inside (0, 1)."""
+    if count < 0:
+        raise InvalidKnotsError(f"negative knot count: {count}")
+    return Layout(degree, np.linspace(0.0, 1.0, count + 2)[1:-1])
+
+
+# The shape space of every smoothed, refit and combined curve.
+SHAPE = uniform_layout(3, 16)
 
 
 def spline_evaluator(spline: "SplineRep"):
@@ -154,7 +224,7 @@ def spline_evaluator(spline: "SplineRep"):
     bytes are `BSpline.__call__`'s, without that method's argument handling
     (about 5 us of a 100-point call).
     """
-    t, k = spline.knots, spline.degree
+    t, k = spline.layout.knots, spline.layout.degree
     c = np.ascontiguousarray(spline.coefficients).reshape(-1, 1)
 
     def values(x) -> np.ndarray:
@@ -167,15 +237,10 @@ def spline_evaluator(spline: "SplineRep"):
 
 @dataclass(eq=False)
 class SplineRep:
-    """A spline as degree + interior knots + coefficients (clamped on [0, 1])."""
+    """A spline as layout + coefficients (clamped on [0, 1])."""
 
-    degree: int
-    interior_knots: np.ndarray
+    layout: Layout
     coefficients: np.ndarray
-
-    @cached_property
-    def knots(self) -> np.ndarray:
-        return knot_vector(self.degree, self.interior_knots)
 
     # for points already in [0, 1]; calling the spline clips them first
     evaluator = cached_property(spline_evaluator)
@@ -184,84 +249,12 @@ class SplineRep:
         return self.evaluator(np.clip(x, 0.0, 1.0))
 
 
-def _check_interior(interior_knots: np.ndarray) -> np.ndarray:
-    interior = np.asarray(interior_knots, dtype=float)
-    if interior.size:
-        if np.any(np.diff(interior) <= 0):
-            raise InvalidKnotsError("interior knots must be strictly increasing")
-        if interior[0] <= 0.0 or interior[-1] >= 1.0:
-            raise InvalidKnotsError("interior knots must lie strictly inside (0, 1)")
-    return interior
-
-
-def basis_matrix(x, degree: int, interior_knots) -> np.ndarray:
-    """Dense matrix of clamped B-spline basis values, rows = points, cols = basis.
-
-    Every row sums to 1 (partition of unity) and all entries are in [0, 1].
-    The bytes are `BSpline.design_matrix(...).toarray()`'s: the same compiled
-    routine gives each row's k + 1 nonzero values and their first column, and
-    they are added into zeros as the sparse-to-dense conversion adds them,
-    without building the sparse matrix.
-    """
-    if degree < 1:
-        raise UnsupportedDegreeError(f"degree must be >= 1, got {degree}")
-    interior = _check_interior(interior_knots)
-    pts = np.asarray(x, dtype=float)
-    if np.any(pts < -_EDGE_TOL) or np.any(pts > 1.0 + _EDGE_TOL):
-        raise InvalidInputError("evaluation points must lie in [0, 1]")
-    pts = np.clip(pts, 0.0, 1.0)
-    t = knot_vector(degree, interior)
-    rows, first, _ = _compiled.data_matrix(pts, t, degree, np.ones_like(pts), False)
-    dense = np.zeros((len(pts), len(t) - degree - 1))
-    dense[np.arange(len(pts))[:, None], first[:, None] + np.arange(degree + 1)] += rows
-    return dense
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-_grid_bases: dict = {}
-
-
-def _shared_design(key: tuple, build) -> np.ndarray:
-    design = _grid_bases.get(key)
-    if design is None:
-        design = _grid_bases[key] = _read_only(build())
-    return design
-
-
-def grid_basis(grid: Grid, degree: int, interior_knots) -> np.ndarray:
-    """`basis_matrix` at the grid's points, built once per grid and knot
-    layout and shared read-only."""
-    interior = np.asarray(interior_knots, dtype=float)
-    return _shared_design(
-        (grid.key, degree, interior.tobytes()),
-        lambda: basis_matrix(grid.points, degree, interior),
-    )
-
-
-def grid_derivative_basis(grid: Grid, degree: int, interior_knots) -> np.ndarray:
-    """The design whose product with a degree-`degree` spline's coefficients
-    is the spline's derivative at the grid's points: `grid_basis` one degree
-    lower times `_difference_operator`, kept read-only in the same cache."""
-    interior = np.asarray(interior_knots, dtype=float)
-    return _shared_design(
-        (grid.key, degree, interior.tobytes(), "derivative"),
-        lambda: grid_basis(grid, degree - 1, interior) @ _difference_operator(degree, interior),
-    )
-
-
-def fit_least_squares(
-    x, y, weights, degree: int, interior_knots, design=None
-) -> SplineRep:
+def fit_least_squares(x, y, weights, layout: Layout, design=None) -> SplineRep:
     """Weighted least-squares spline fit to scattered samples.
 
-    `design` is `basis_matrix(x, degree, interior_knots)` when the caller
-    already has it.  Solved through an orthogonal factorization; raises
-    SingularFitError when the design is rank deficient or its condition
-    estimate exceeds MAX_CONDITION.
+    `design` is `layout.basis(x)` when the caller already has it.  Solved
+    through an orthogonal factorization; raises SingularFitError when the
+    design is rank deficient or its condition estimate exceeds MAX_CONDITION.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -270,14 +263,13 @@ def fit_least_squares(
         raise InvalidInputError("samples and weights must have matching shapes")
     if np.any(w <= 0):
         raise InvalidInputError("weights must be positive")
-    interior = _check_interior(interior_knots)
-    nb = n_basis(degree, interior)
+    nb = layout.size
     if len(x) < nb:
         raise InvalidInputError(
             f"need at least {nb} samples to fit {nb} basis functions, got {len(x)}"
         )
     if design is None:
-        design = basis_matrix(x, degree, interior)
+        design = layout.basis(x)
     sw = np.sqrt(w)
     coef, _, rank, sv = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
@@ -285,7 +277,7 @@ def fit_least_squares(
         raise SingularFitError(
             f"singular least-squares design (rank {rank}/{nb}, cond {cond:.3e})"
         )
-    return SplineRep(degree=degree, interior_knots=interior, coefficients=coef)
+    return SplineRep(layout, coef)
 
 
 def evaluate(spline: SplineRep, x) -> np.ndarray:
@@ -297,28 +289,25 @@ def evaluate(spline: SplineRep, x) -> np.ndarray:
 
 
 def derivative(spline: SplineRep) -> SplineRep:
-    """Analytic derivative, one degree lower on the same interior knots.
+    """Analytic derivative, one degree lower on the same interior knots
+    (`layout.lower`).
 
     The coefficients are scipy's `splder` (what `BSpline.derivative` calls),
     term for term, without building the derivative's BSpline.
     """
-    if spline.degree < 1:
+    layout = spline.layout
+    if layout.degree < 1:
         raise UnsupportedDegreeError("cannot differentiate a degree-0 spline")
-    t, c, k = spline.knots, np.asarray(spline.coefficients, dtype=float), spline.degree
-    return SplineRep(
-        degree=k - 1,
-        interior_knots=spline.interior_knots,
-        coefficients=(c[1:] - c[:-1]) * k / (t[k + 1 : -1] - t[1 : -k - 1]),
-    )
+    t, c, k = layout.knots, np.asarray(spline.coefficients, dtype=float), layout.degree
+    return SplineRep(layout.lower, (c[1:] - c[:-1]) * k / (t[k + 1 : -1] - t[1 : -k - 1]))
 
 
-def _difference_operator(degree: int, interior_knots: np.ndarray) -> np.ndarray:
+def _difference_operator(layout: Layout) -> np.ndarray:
     """Matrix mapping spline coefficients to derivative-spline coefficients."""
-    t = knot_vector(degree, interior_knots)
-    nb = len(interior_knots) + degree + 1
+    t, k, nb = layout.knots, layout.degree, layout.size
     op = np.zeros((nb - 1, nb))
     for i in range(nb - 1):
-        span = t[i + degree + 1] - t[i + 1]
-        op[i, i] = -degree / span
-        op[i, i + 1] = degree / span
+        span = t[i + k + 1] - t[i + 1]
+        op[i, i] = -k / span
+        op[i, i + 1] = k / span
     return op

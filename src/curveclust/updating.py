@@ -11,7 +11,7 @@ resulting inequality numerically on concrete instances
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .curves import Curve, normalize, refit_on_grid
 from .errors import DegenerateDataError, MissingSimilaritiesError
 from .products import center_inner, centered_norm, warp_weighted_rows
-from .splines import DEFAULT_SPLINES, SplineSettings
+from .splines import SHAPE, Layout
 from .warping import Warping, forward_on_grid
 
 W_FLOOR = 1e-6
@@ -38,7 +38,7 @@ class UpdateContext:
     n_js: List[int]
     tau: float
     lambda0: float
-    settings: SplineSettings = field(default_factory=lambda: DEFAULT_SPLINES)
+    settings: Layout = SHAPE
 
 
 def weight_exponent(original_sims) -> float:
@@ -192,7 +192,7 @@ def update_all(
     matrix,
     lambda0: float,
     tau: float,
-    settings: SplineSettings = DEFAULT_SPLINES,
+    settings: Layout = SHAPE,
 ):
     """Update every curve once, in ascending id order.
 

@@ -1,12 +1,14 @@
 """Monotone warping functions on [0, 1] and the penalized-similarity optimizer.
 
-The warp family is fixed: a warp is a quadratic spline on 3 equally spaced
-interior knots with positive coefficient increments, so it is strictly
-increasing and pins 0 -> 0, 1 -> 1 exactly by construction.  Raw parameters
-are unconstrained reals: increments are exp(raw) scaled by the Greville
-spacing of the knot layout, which makes all-equal raw parameters the exact
-identity.  The inverse is approximated by least squares in a finer quadratic
-spline space, on 23 equally spaced interior knots.
+The warp family is fixed: a warp is a spline in `WARP`, quadratic on 3
+equally spaced interior knots, with positive coefficient increments, so it is
+strictly increasing and pins 0 -> 0, 1 -> 1 exactly by construction.  Raw
+parameters are unconstrained reals: increments are exp(raw) scaled by the
+Greville spacing of `WARP`, which makes all-equal raw parameters the exact
+identity.  The inverse is approximated by least squares in `INVERSE`, a finer
+quadratic space on 23 equally spaced interior knots.  A warp read in reverse
+(`Warping.swapped`) has its forward spline in `INVERSE`; no other layout is a
+warp's.
 
 The optimizer runs the Nelder-Mead searches of many (pair, start) rows in
 lockstep (`minimize`), one batched objective call per round for all of them
@@ -42,18 +44,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .products import ZERO_NORM_TOL, centered_norm, corr
-from .splines import (
-    Grid,
-    SplineRep,
-    _read_only,
-    basis_matrix,
-    derivative,
-    evaluate,
-    grid_basis,
-    grid_derivative_basis,
-    knot_vector,
-    uniform_interior_knots,
-)
+from .splines import Grid, Layout, SplineRep, _read_only, derivative, evaluate, uniform_layout
 
 _DENSE_N = 501
 _DENSE = np.linspace(0.0, 1.0, _DENSE_N)
@@ -123,50 +114,36 @@ def check_lambda0(lambda0: float) -> None:
         raise InvalidParameterError("lambda0 must be finite and nonnegative")
 
 
-def greville_abscissae(degree: int, interior_knots: np.ndarray) -> np.ndarray:
-    t = knot_vector(degree, interior_knots)
-    nb = len(interior_knots) + degree + 1
-    return np.array([t[i + 1 : i + degree + 1].mean() for i in range(nb)])
+def greville_abscissae(layout: Layout) -> np.ndarray:
+    t, k = layout.knots, layout.degree
+    return np.array([t[i + 1 : i + k + 1].mean() for i in range(layout.size)])
 
 
-# The warp family: every warp and every inverse shares these arrays.
-WARP_DEGREE = 2
-WARP_INTERIOR = _read_only(uniform_interior_knots(3))
-INVERSE_INTERIOR = _read_only(uniform_interior_knots(23))
-_GREVILLE_STEPS = _read_only(np.diff(greville_abscissae(WARP_DEGREE, WARP_INTERIOR)))
+# The warp family: every warp's forward spline is in one of these, its
+# inverse in the other.
+WARP = uniform_layout(2, 3)
+INVERSE = uniform_layout(2, 23)
+_GREVILLE_STEPS = _read_only(np.diff(greville_abscissae(WARP)))
 _N_RAW = 5  # raw parameters of a warp; `_start_search` writes its centroid out for 5
 assert len(_GREVILLE_STEPS) == _N_RAW
-_LAYOUTS = (WARP_INTERIOR, INVERSE_INTERIOR)
-
-
-def _layout(spline: SplineRep) -> int:
-    """The index in `_LAYOUTS` of a warp spline's knot layout: found by
-    identity when the spline shares the family's knot array, as every warp
-    and inverse built here does, and by value otherwise."""
-    if spline.degree == WARP_DEGREE:
-        knots = spline.interior_knots
-        for i, interior in enumerate(_LAYOUTS):
-            if knots is interior:
-                return i
-        for i, interior in enumerate(_LAYOUTS):
-            if np.array_equal(knots, interior):
-                return i
-    raise InvalidInputError("warp spline is outside the fixed warp family")
 
 
 def forward_on_grid(warps, grid: Grid) -> tuple:
     """psi (clipped into [0, 1]) and psi' of each warp's forward spline at the
-    grid points, one row per warp, from the grid's cached design matrices: one
-    product per knot layout.  A swapped warp reads its inverse forward."""
+    grid points, one row per warp, from the layouts' cached grid designs: one
+    product per layout.  A swapped warp reads its inverse forward.  A forward
+    spline outside `WARP` and `INVERSE` raises InvalidInputError."""
     psi = np.empty((len(warps), len(grid)))
     dpsi = np.empty_like(psi)
-    layouts = [_layout(warp.forward) for warp in warps]
-    for i, interior in enumerate(_LAYOUTS):
-        rows = [j for j, layout in enumerate(layouts) if layout == i]
+    layouts = [warp.forward.layout for warp in warps]
+    if not all(layout is WARP or layout is INVERSE for layout in layouts):
+        raise InvalidInputError("warp spline is outside the fixed warp family")
+    for layout in (WARP, INVERSE):
+        rows = [j for j, own in enumerate(layouts) if own is layout]
         if rows:
             coef = np.array([warps[j].forward.coefficients for j in rows])
-            psi[rows] = coef @ grid_basis(grid, WARP_DEGREE, interior).T
-            dpsi[rows] = coef @ grid_derivative_basis(grid, WARP_DEGREE, interior).T
+            psi[rows] = coef @ layout.on_grid(grid).T
+            dpsi[rows] = coef @ layout.derivative_on_grid(grid).T
     return np.clip(psi, 0.0, 1.0, out=psi), dpsi
 
 
@@ -198,17 +175,13 @@ def make_warping(raw_params) -> Warping:
         raise InvalidParameterError(
             f"expected {len(_GREVILLE_STEPS)} warp parameters, got {raw.shape}"
         )
-    forward = SplineRep(
-        degree=WARP_DEGREE,
-        interior_knots=WARP_INTERIOR,
-        coefficients=_coefficients_from_raw(raw),
-    )
+    forward = SplineRep(WARP, _coefficients_from_raw(raw))
     return Warping(forward=forward, inverse=invert_warping(forward))
 
 
-def _pinned_fit(x, y, degree, interior, left, right) -> np.ndarray:
+def _pinned_fit(x, y, layout: Layout, left, right) -> np.ndarray:
     """Least-squares spline fit with the first/last coefficients pinned."""
-    design = basis_matrix(x, degree, interior)
+    design = layout.basis(x)
     rhs = y - left * design[:, 0] - right * design[:, -1]
     mid, *_ = np.linalg.lstsq(design[:, 1:-1], rhs, rcond=None)
     return np.concatenate([[left], mid, [right]])
@@ -223,14 +196,10 @@ def invert_warping(psi: SplineRep) -> SplineRep:
         raise MonotonicityError("warp does not satisfy psi(0)=0, psi(1)=1")
     values = values.copy()
     values[0], values[-1] = 0.0, 1.0
-    coef = _pinned_fit(values, _DENSE, WARP_DEGREE, INVERSE_INTERIOR, 0.0, 1.0)
+    coef = _pinned_fit(values, _DENSE, INVERSE, 0.0, 1.0)
     # spline values live in the convex hull of the coefficients, so clipping
     # keeps the approximate inverse inside [0, 1]
-    return SplineRep(
-        degree=WARP_DEGREE,
-        interior_knots=INVERSE_INTERIOR,
-        coefficients=np.clip(coef, 0.0, 1.0),
-    )
+    return SplineRep(INVERSE, np.clip(coef, 0.0, 1.0))
 
 
 def power_warp_raw(alpha: float) -> np.ndarray:
@@ -238,7 +207,7 @@ def power_warp_raw(alpha: float) -> np.ndarray:
     steps = _GREVILLE_STEPS
     if alpha == 1.0:
         return np.zeros_like(steps)
-    coef = _pinned_fit(_DENSE, _DENSE**alpha, WARP_DEGREE, WARP_INTERIOR, 0.0, 1.0)
+    coef = _pinned_fit(_DENSE, _DENSE**alpha, WARP, 0.0, 1.0)
     increments = np.maximum(np.diff(coef), 1e-4 * steps)
     raw = np.log(increments / steps)
     raw -= raw.mean()
@@ -329,8 +298,8 @@ def _proxy_values(pairs, lambda0: float, row_pairs: np.ndarray):
     """
     grid = pairs[0][0].grid
     w, n = grid.weights, len(grid)
-    basis = grid_basis(grid, WARP_DEGREE, WARP_INTERIOR)
-    deriv = grid_derivative_basis(grid, WARP_DEGREE, WARP_INTERIOR)
+    basis = WARP.on_grid(grid)
+    deriv = WARP.derivative_on_grid(grid)
     fs = np.array([f.samples for f, _ in pairs])
     f_centered = fs - np.vecdot(fs, w)[:, None]
     f_norm = np.sqrt(np.vecdot(f_centered * f_centered, w))
@@ -574,7 +543,7 @@ _UNIT = np.dtype(
         ("final", float, (len(_GREVILLE_STEPS),)),
         ("scored", bool, (2,)),
         ("parts", float, (2, 5)),
-        ("inverse", float, (len(INVERSE_INTERIOR) + WARP_DEGREE + 1,)),
+        ("inverse", float, (INVERSE.size,)),
     ],
     align=True,
 )
@@ -725,9 +694,6 @@ def optimize_warping(searched: np.ndarray) -> SimilarityEntry:
         # copies: the rows live in the build's shared mapping
         forward = _coefficients_from_raw(searched["final"][s])
         inverse = searched["inverse"][s].copy()
-        warp = Warping(
-            SplineRep(WARP_DEGREE, WARP_INTERIOR, forward),
-            SplineRep(WARP_DEGREE, INVERSE_INTERIOR, inverse),
-        )
+        warp = Warping(SplineRep(WARP, forward), SplineRep(INVERSE, inverse))
     rho, *numbers = parts[best].tolist()
     return SimilarityEntry(rho, warp, *numbers)

@@ -164,6 +164,19 @@ class TestAlign:
         )
         assert code == 2
 
+    def test_repeated_id_invalid_input(self, small_dataset, tmp_path, capsys):
+        curves, _ = small_dataset
+        out = tmp_path / "align.json"
+        capsys.readouterr()
+        code = main(
+            ["align", "--input", str(curves), "--pair", "1,1", "--lambda0", "0.0", "--out", str(out)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: curve id '1' is listed twice in --pair"]
+        assert not out.exists()
+
     def test_pair_with_no_scorable_warp_is_degenerate(
         self, small_dataset, tmp_path, capsys, monkeypatch
     ):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curveclust import pipeline
-from curveclust.combining import Partition
+from curveclust.combining import Partition, combine_group
 from curveclust.curves import refit_on_grid, smooth_curve
 from curveclust.errors import DegenerateDataError, InvalidInputError
 from curveclust.pipeline import (
@@ -19,8 +19,10 @@ from curveclust.pipeline import (
     run,
 )
 from curveclust.io import result_json
-from curveclust.simulation import Scenario, generate
-from curveclust.splines import uniform_grid
+from curveclust.simulation import Scenario, generate, scenario_preset
+from curveclust.splines import SHAPE, derivative, uniform_grid
+from curveclust.updating import update_all, weight_exponent
+from curveclust.warping import INVERSE, WARP
 
 from .conftest import assert_no_child, bump_shape, sine_shape
 
@@ -86,6 +88,33 @@ class TestPrepareCurves:
         for index in ("silhoutte", "dunn", "dunn_I1_J1", "dunn-I4-J1", "dunn-I1-j1"):
             with pytest.raises(InvalidInputError):
                 RunConfig(lambda0=0.0, index=index)
+
+
+class TestLayouts:
+    def test_every_spline_lies_in_a_package_layout(self):
+        # layouts are compared by identity: a spline outside SHAPE, WARP and
+        # INVERSE would be a second record of a knot layout
+        data = generate(scenario_preset("s31", sizes=(2, 2, 2), sigma=0.15, seed=1))
+        config = RunConfig(lambda0=0.5, grid_size=100)
+        curves = prepare_curves(data.points, data.samples, config)
+        matrix = similarity.similarity_matrix(curves, config.lambda0)
+        tau = weight_exponent([s for s in matrix.values() if s < 1.0])
+        updated = update_all(curves, matrix, config.lambda0, tau, config.splines)
+        bank = {c.id: c for c in curves}
+        combined = combine_group([0, 1], bank, matrix, settings=config.splines)
+        assert config.splines is SHAPE
+        for curve in [*curves, *updated, combined]:
+            assert curve.spline.layout is SHAPE
+        for a in bank:
+            for b in bank:
+                if a != b:
+                    warp = matrix.warp(a, b)
+                    pair = warp.forward.layout, warp.inverse.layout
+                    assert pair[0] is WARP and pair[1] is INVERSE or (
+                        pair[0] is INVERSE and pair[1] is WARP
+                    )
+                    if pair[0] is WARP:
+                        assert derivative(warp.forward).layout is WARP.lower
 
 
 def tiny_run_config(**kwargs):

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from curveclust.curves import refit_on_grid
-from curveclust import splines
+from curveclust import splines, warping
 from curveclust.errors import InvalidInputError, InvalidParameterError, ZeroVarianceError
 from curveclust.products import center_inner, corr
 from curveclust.similarity import (
@@ -99,12 +99,11 @@ class TestRhoGivenPsi:
 
     def test_out_of_range_warp_rejected(self):
         from curveclust.errors import WarpRangeError
-        from curveclust.splines import SplineRep, uniform_interior_knots
-        from curveclust.warping import Warping
+        from curveclust.splines import SplineRep
+        from curveclust.warping import WARP, Warping
 
         f = refit_on_grid(0, GRID, sine_shape(T))
-        knots = uniform_interior_knots(3)
-        escaping = SplineRep(2, knots, np.array([0.0, 0.3, 1.4, 0.9, 0.95, 1.0]))
+        escaping = SplineRep(WARP, np.array([0.0, 0.3, 1.4, 0.9, 0.95, 1.0]))
         with pytest.raises(WarpRangeError):
             rho_given_psi(f, f, Warping(escaping, escaping), 0.0)
 
@@ -279,6 +278,14 @@ class TestBadLambda0:
             call()
 
 
+def _empty_design_caches(monkeypatch) -> None:
+    """Give every layout the package builds splines in an empty cache of grid
+    designs, until the test ends."""
+    for layout in (splines.SHAPE, warping.WARP, warping.INVERSE):
+        for space in (layout, layout.lower):
+            monkeypatch.setitem(vars(space), "_designs", {})
+
+
 class TestCachesKeyedByInput:
     def test_workspace_of_another_grid_of_equal_length_is_not_used(self, monkeypatch):
         uniform = uniform_grid(100)
@@ -287,9 +294,9 @@ class TestCachesKeyedByInput:
             refit_on_grid(i, stretched, sine_shape(stretched.points**p))
             for i, p in ((0, 1.0), (1, 1.2))
         )
-        monkeypatch.setattr(splines, "_grid_bases", {})
+        _empty_design_caches(monkeypatch)
         alone = _entry_bytes(similarity(f, g, 0.5))
-        monkeypatch.setattr(splines, "_grid_bases", {})
+        _empty_design_caches(monkeypatch)
         u, v = (refit_on_grid(i, uniform, sine_shape(uniform.points)) for i in (0, 1))
         similarity(u, v, 0.5)
         assert _entry_bytes(similarity(f, g, 0.5)) == alone

@@ -39,15 +39,7 @@ from curveclust.similarity import (
     similarity,
     similarity_matrix,
 )
-from curveclust.splines import (
-    SplineRep,
-    derivative,
-    evaluate,
-    grid_basis,
-    grid_derivative_basis,
-    make_grid,
-    uniform_interior_knots,
-)
+from curveclust.splines import SplineRep, derivative, evaluate, make_grid, uniform_layout
 from curveclust.updating import update_all, weight_exponent
 from curveclust.warping import (
     invert_warping,
@@ -110,8 +102,7 @@ class TestInvertWarping:
         assert np.abs(composed - CHECK).max() <= 0.01
 
     def test_non_monotone_input_rejected(self):
-        knots = uniform_interior_knots(3)
-        wiggly = SplineRep(2, knots, np.array([0.0, 0.6, 0.3, 0.5, 0.9, 1.0]))
+        wiggly = SplineRep(warping.WARP, np.array([0.0, 0.6, 0.3, 0.5, 0.9, 1.0]))
         with pytest.raises(MonotonicityError):
             invert_warping(wiggly)
 
@@ -135,10 +126,13 @@ class TestForwardOnGrid:
         assert psi.min() >= 0.0 and psi.max() <= 1.0
 
     def test_foreign_layout_rejected(self, grid100):
-        knots = uniform_interior_knots(5)
-        foreign = SplineRep(2, knots, np.linspace(0.0, 1.0, 8))
-        with pytest.raises(InvalidInputError):
-            warping.forward_on_grid([identity_warp(), warping.Warping(foreign, foreign)], grid100)
+        # a layout is the family's by identity: uniform_layout(2, 3) equals
+        # WARP in value but is another object
+        for layout in (uniform_layout(2, 5), uniform_layout(2, 3)):
+            foreign = SplineRep(layout, np.linspace(0.0, 1.0, layout.size))
+            warps = [identity_warp(), warping.Warping(foreign, foreign)]
+            with pytest.raises(InvalidInputError, match="outside the fixed warp family"):
+                warping.forward_on_grid(warps, grid100)
 
 
 class TestRoughnessPenalty:
@@ -236,8 +230,8 @@ def _reference_proxy_objective(f, g, lambda0):
     f_centered = fs - w @ fs
     f_norm = np.sqrt(w @ (f_centered * f_centered))
     g_bspline = g.spline
-    basis = grid_basis(f.grid, warping.WARP_DEGREE, warping.WARP_INTERIOR)
-    deriv = grid_derivative_basis(f.grid, warping.WARP_DEGREE, warping.WARP_INTERIOR)
+    basis = warping.WARP.on_grid(f.grid)
+    deriv = warping.WARP.derivative_on_grid(f.grid)
     steps = warping._GREVILLE_STEPS
 
     def objective(raw: np.ndarray) -> float:
