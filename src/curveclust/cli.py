@@ -23,7 +23,7 @@ from .io import (
 )
 from .pipeline import RunConfig, prepare_curves, run
 from .similarity import similarity, similarity_matrix
-from .simulation import Scenario, generate, scenario_preset
+from .simulation import PRESETS, Scenario, generate, scenario_preset
 from .warping import warp_samples
 
 # cluster, align and indexes smooth onto the same grid unless told otherwise,
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("simulate", help="generate a simulation scenario as CSV")
-    p.add_argument("--scenario", choices=["s31", "s32a", "s32b", "s33a", "s33b"], required=True)
+    p.add_argument("--scenario", choices=list(PRESETS), required=True)
     p.add_argument("--sizes", default=None, help="comma-separated group sizes, e.g. 10,10,10")
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--points", type=int, default=Scenario.n_points)

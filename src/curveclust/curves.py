@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, InvalidInputError
 from .products import centered_norm, ZERO_NORM_TOL
-from .splines import SHAPE, Grid, Layout, SplineRep, evaluate, fit_least_squares
+from .splines import SHAPE, Grid, Layout, SplineRep, fit_least_squares
 
 # The largest sample magnitude a curve may have.  Squares and products of two
 # curves' samples overflow (the largest float is about 1.8e308) from about
@@ -55,7 +55,7 @@ def fit_curve(
     least squares, as a curve sampled on `grid`; `design` is the fit's basis
     matrix when the caller already has it."""
     spline = fit_least_squares(x, y, weights, settings, design)
-    return Curve(curve_id, grid, evaluate(spline, grid.points), spline, members)
+    return Curve(curve_id, grid, spline(grid.points), spline, members)
 
 
 def refit_on_grid(

@@ -9,12 +9,17 @@ import numpy as np
 
 from .errors import ElementMismatchError, InvalidInputError, UndefinedIndexError
 
-DUNN_INTER = ("I1", "I2", "I3")
-DUNN_INTRA = ("J1", "J2")
+# The generalized Dunn indices of Bezdek & Pal (1998) combine an inter-group
+# distance I with an intra-group spread J; each variant is the reduction it
+# applies to the distances between two groups, or within one.
+_INTER_REDUCTIONS = {"I1": np.ndarray.min, "I2": np.ndarray.max, "I3": np.ndarray.mean}
+_INTRA_REDUCTIONS = {"J1": np.ndarray.max, "J2": np.ndarray.mean}
+DUNN_INTER = tuple(_INTER_REDUCTIONS)
+DUNN_INTRA = tuple(_INTRA_REDUCTIONS)
 
 # Every index a run can select, under the name its results report: the
-# Silhouette and the generalized Dunn indices of Bezdek & Pal (1998), one per
-# inter-group distance I and intra-group spread J.
+# Silhouette and one Dunn index per inter-group distance I and intra-group
+# spread J.
 INDEX_NAMES = ("silhouette",) + tuple(
     f"dunn-{inter}-{intra}" for inter in DUNN_INTER for intra in DUNN_INTRA
 )
@@ -68,29 +73,14 @@ def silhouette(groups, dist: DistanceMatrix) -> float:
     return float(np.mean(np.concatenate(scores)))
 
 
-def _inter_distance(ga, gb, dist, variant):
-    values = dist.array[ga][:, gb].ravel()
-    if variant == "I1":
-        return float(values.min())
-    if variant == "I2":
-        return float(values.max())
-    if variant == "I3":
-        return float(np.mean(values))
-    raise InvalidInputError(f"unknown inter-cluster distance: {variant!r}")
-
-
-def _intra_distance(group, dist, variant):
+def _intra_distance(group, dist, reduce):
     if len(group) < 2:
         return 0.0
     # pairs i < j in the group's order, row by row
     values = np.concatenate(
         [dist.array[x, group[i + 1 :]] for i, x in enumerate(group[:-1])]
     )
-    if variant == "J1":
-        return float(values.max())
-    if variant == "J2":
-        return float(np.mean(values))
-    raise InvalidInputError(f"unknown intra-cluster distance: {variant!r}")
+    return float(reduce(values))
 
 
 def dunn(groups, dist: DistanceMatrix, inter: str = "I1", intra: str = "J1") -> float:
@@ -102,12 +92,14 @@ def dunn(groups, dist: DistanceMatrix, inter: str = "I1", intra: str = "J1") -> 
     groups = [[dist.row[x] for x in g] for g in groups]
     if len(groups) < 2:
         raise UndefinedIndexError("Dunn index needs at least 2 groups")
+    if inter not in _INTER_REDUCTIONS or intra not in _INTRA_REDUCTIONS:
+        raise InvalidInputError(f"unknown Dunn variant: inter={inter!r}, intra={intra!r}")
     numer = min(
-        _inter_distance(groups[i], groups[j], dist, inter)
+        float(_INTER_REDUCTIONS[inter](dist.array[groups[i]][:, groups[j]].ravel()))
         for i in range(len(groups))
         for j in range(i + 1, len(groups))
     )
-    denom = max(_intra_distance(g, dist, intra) for g in groups)
+    denom = max(_intra_distance(g, dist, _INTRA_REDUCTIONS[intra]) for g in groups)
     if denom == 0.0:
         return float("inf")
     return numer / denom

@@ -118,24 +118,19 @@ def read_labels_csv(path) -> Dict[str, str]:
     return labels
 
 
-def _json_value(value) -> object:
-    if value is None:
-        return None
+def _json_value(value: float) -> object:
     return value if math.isfinite(value) else None
 
 
 def result_json(result, names: List[str]) -> str:
     """Deterministic JSON for a run result; ids mapped back to file names."""
-    partition = [
-        [names[i] for i in sorted(group)]
-        for group in sorted(result.partition.groups, key=min)
-    ]
+
+    def named(partition):
+        return [[names[i] for i in group] for group in partition.sorted_groups()]
+
     candidates = [
         {
-            "partition": [
-                [names[i] for i in sorted(group)]
-                for group in sorted(record.partition.groups, key=min)
-            ],
+            "partition": named(record.partition),
             "nu0": _json_value(record.score),
             "threshold": record.threshold,
             "iteration": record.iteration,
@@ -143,7 +138,7 @@ def result_json(result, names: List[str]) -> str:
         for record in result.candidates
     ]
     data = {
-        "partition": partition,
+        "partition": named(result.partition),
         "threshold": result.threshold,
         "index_name": result.index_name,
         "index_value": _json_value(result.index_value),

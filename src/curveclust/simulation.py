@@ -108,6 +108,8 @@ class Scenario:
             )
         if self.seed < 0:
             raise InvalidInputError("seed must be nonnegative")
+        if not (self.alphas and all(math.isfinite(a) and a > 0 for a in self.alphas)):
+            raise InvalidInputError("alphas must be one or more finite positive exponents")
         for name in self.shapes:
             if name not in FIXED_SHAPES and name not in RANDOM_SHAPES:
                 raise InvalidInputError(f"unknown shape function: {name!r}")
@@ -124,6 +126,23 @@ class SimulatedData:
     truths: dict  # name -> tuple of frozensets of ids
 
 
+# The named scenarios of the paper's simulations, as `Scenario` fields; a
+# preset without sizes has 10 curves per shape.
+PRESETS: Dict[str, dict] = {
+    "s31": dict(shapes=("f1", "f2", "f3"), warp="power", sigma=0.15, merged=(0, 2)),
+    "s32a": dict(shapes=("f1", "f2", "f3"), warp="linear_shift", sigma=0.15, merged=(0, 2)),
+    "s32b": dict(shapes=("f1", "f2", "f3"), warp="power_shift", sigma=0.15, merged=(0, 2)),
+    "s33a": dict(shapes=("f4", "f5", "f6"), warp="none", sigma=0.0, merged=(0, 1)),
+    "s33b": dict(
+        shapes=("g1", "g2"),
+        warp="power",
+        alphas=(0.78, 0.89, 1.11, 1.22),
+        sizes=(4, 4),
+        sigma=0.0,
+    ),
+}
+
+
 def scenario_preset(
     name: str,
     sizes: Optional[Tuple[int, ...]] = None,
@@ -131,22 +150,9 @@ def scenario_preset(
     n_points: int = Scenario.n_points,
     seed: int = Scenario.seed,
 ) -> Scenario:
-    presets = {
-        "s31": dict(shapes=("f1", "f2", "f3"), warp="power", sigma=0.15, merged=(0, 2)),
-        "s32a": dict(shapes=("f1", "f2", "f3"), warp="linear_shift", sigma=0.15, merged=(0, 2)),
-        "s32b": dict(shapes=("f1", "f2", "f3"), warp="power_shift", sigma=0.15, merged=(0, 2)),
-        "s33a": dict(shapes=("f4", "f5", "f6"), warp="none", sigma=0.0, merged=(0, 1)),
-        "s33b": dict(
-            shapes=("g1", "g2"),
-            warp="power",
-            alphas=(0.78, 0.89, 1.11, 1.22),
-            sizes=(4, 4),
-            sigma=0.0,
-        ),
-    }
-    if name not in presets:
+    if name not in PRESETS:
         raise InvalidInputError(f"unknown scenario: {name!r}")
-    spec = dict(presets[name])
+    spec = dict(PRESETS[name])
     if sizes is not None:
         spec["sizes"] = tuple(sizes)
     elif "sizes" not in spec:

@@ -280,14 +280,6 @@ def fit_least_squares(x, y, weights, layout: Layout, design=None) -> SplineRep:
     return SplineRep(layout, coef)
 
 
-def evaluate(spline: SplineRep, x) -> np.ndarray:
-    """De Boor evaluation of the spline at points in [0, 1]."""
-    pts = np.asarray(x, dtype=float)
-    if np.any(pts < -_EDGE_TOL) or np.any(pts > 1.0 + _EDGE_TOL):
-        raise InvalidInputError("evaluation points must lie in [0, 1]")
-    return spline(pts)
-
-
 def derivative(spline: SplineRep) -> SplineRep:
     """Analytic derivative, one degree lower on the same interior knots
     (`layout.lower`).

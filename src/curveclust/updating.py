@@ -35,7 +35,6 @@ class UpdateContext:
     others: List[Curve]
     warps: List[Warping]  # aligning target to each neighbor
     sims: List[float]  # penalized similarity of target to each neighbor
-    n_js: List[int]
     tau: float
     lambda0: float
     settings: Layout = SHAPE
@@ -109,7 +108,7 @@ def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def select_update_weights(ctx: UpdateContext, q: _Quantities):
     """Neighbor weights: zero out neighbors failing any of the three rules,
-    split the rest proportionally to n_j * (similarity ratio) ** tau.
+    split the rest proportionally to `n_orig` * (similarity ratio) ** tau.
 
     Returns (weights, all_zero).  All-zero is a flagged outcome, not an error:
     the caller leaves the target unchanged.
@@ -124,7 +123,8 @@ def select_update_weights(ctx: UpdateContext, q: _Quantities):
         ratios = np.ones_like(sims)  # all similarities non-positive: equal split
     else:
         ratios = np.maximum(sims / top, W_FLOOR)
-    weights = np.asarray(ctx.n_js, dtype=float)[survivors] * ratios**ctx.tau
+    counts = np.array([other.n_orig for other in ctx.others], dtype=float)
+    weights = counts[survivors] * ratios**ctx.tau
     theta[survivors] = weights / weights.sum()
     return theta, False
 
@@ -220,7 +220,6 @@ def update_all(
             others=[pool[i] for i in other_ids],
             warps=[matrix.warp(target_id, i) for i in other_ids],
             sims=[matrix.rho(target_id, i) for i in other_ids],
-            n_js=[pool[i].n_orig for i in other_ids],
             tau=tau,
             lambda0=lambda0,
             settings=settings,

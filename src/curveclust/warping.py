@@ -44,7 +44,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .products import ZERO_NORM_TOL, centered_norm, corr
-from .splines import Grid, Layout, SplineRep, _read_only, derivative, evaluate, uniform_layout
+from .splines import Grid, Layout, SplineRep, _read_only, derivative, uniform_layout
 
 _DENSE_N = 501
 _DENSE = np.linspace(0.0, 1.0, _DENSE_N)
@@ -148,7 +148,7 @@ def forward_on_grid(warps, grid: Grid) -> tuple:
 
 
 def n_raw_params() -> int:
-    return len(_GREVILLE_STEPS)
+    return _N_RAW
 
 
 def _coefficients_from_raw(raw: np.ndarray) -> np.ndarray:
@@ -171,10 +171,8 @@ def make_warping(raw_params) -> Warping:
     raw = np.asarray(raw_params, dtype=float)
     if not np.all(np.isfinite(raw)):
         raise InvalidParameterError("warp parameters must be finite")
-    if raw.shape != _GREVILLE_STEPS.shape:
-        raise InvalidParameterError(
-            f"expected {len(_GREVILLE_STEPS)} warp parameters, got {raw.shape}"
-        )
+    if raw.shape != (_N_RAW,):
+        raise InvalidParameterError(f"expected {_N_RAW} warp parameters, got {raw.shape}")
     forward = SplineRep(WARP, _coefficients_from_raw(raw))
     return Warping(forward=forward, inverse=invert_warping(forward))
 
@@ -189,7 +187,7 @@ def _pinned_fit(x, y, layout: Layout, left, right) -> np.ndarray:
 
 def invert_warping(psi: SplineRep) -> SplineRep:
     """Quadratic-spline approximation of the inverse of a monotone warp."""
-    values = evaluate(psi, _DENSE)
+    values = psi(_DENSE)
     if np.any(np.diff(values) <= 0.0):
         raise MonotonicityError("warp is not strictly increasing on [0, 1]")
     if abs(values[0]) > 1e-6 or abs(values[-1] - 1.0) > 1e-6:
@@ -219,7 +217,7 @@ def roughness_penalty(psi: Warping, grid: Grid) -> float:
 
     `roughness_penalty(psi.swapped(), grid)` is the penalty of the inverse.
     """
-    dvals = evaluate(derivative(psi.forward), grid.points)
+    dvals = derivative(psi.forward)(grid.points)
     return float(grid.weights @ (dvals - 1.0) ** 2)
 
 
@@ -540,7 +538,7 @@ def _spare_cpus() -> int:
 # `SimilarityEntry` order; and the final warp's inverse coefficients.
 _UNIT = np.dtype(
     [
-        ("final", float, (len(_GREVILLE_STEPS),)),
+        ("final", float, (_N_RAW,)),
         ("scored", bool, (2,)),
         ("parts", float, (2, 5)),
         ("inverse", float, (INVERSE.size,)),

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import hypothesis
 import numpy as np
@@ -47,6 +48,13 @@ def sine_shape(t):
 
 def bump_shape(t):
     return (-(t**2) + np.sin(2 * np.pi * t) + 0.25) / 1.3
+
+
+def standing_for(curve, count):
+    """`curve` as a curve that stands for `count` original curves: its own id
+    and count - 1 ids from 1000 * (id + 1) on, which no test curve has."""
+    start = 1000 * (curve.id + 1)
+    return replace(curve, members=frozenset([curve.id, *range(start, start + count - 1)]))
 
 
 def random_smooth_curve(curve_id, grid, rng, n_modes=4):

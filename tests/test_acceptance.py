@@ -24,7 +24,7 @@ from curveclust.warping import (
     roughness_penalty,
 )
 
-from .conftest import random_smooth_curve, sine_shape
+from .conftest import random_smooth_curve, sine_shape, standing_for
 from .oracles import verify_improvement
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -132,6 +132,7 @@ class TestCriterion4ImprovementGuarantee:
                 make_warping(rng.normal(0.0, 0.4, n_raw_params())) for _ in range(k - 1)
             ]
             lambda0 = float(rng.choice([0.0, 0.25, 0.5]))
+            others = [standing_for(o, int(rng.integers(1, 4))) for o in others]
             ctx = UpdateContext(
                 target=target,
                 others=others,
@@ -139,7 +140,6 @@ class TestCriterion4ImprovementGuarantee:
                 sims=[
                     rho_parts(target, o, w, lambda0).rho for o, w in zip(others, warps)
                 ],
-                n_js=[int(rng.integers(1, 4)) for _ in range(k - 1)],
                 tau=float(rng.uniform(0.5, 3.0)),
                 lambda0=lambda0,
             )

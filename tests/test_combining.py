@@ -301,7 +301,7 @@ class TestCombineGroup:
         curves, matrix = self.curves_and_matrix([1.0, 1.6], sizes=[3, 1])
         rep = combine_group([0, 1], curves, matrix)
 
-        from curveclust.splines import SHAPE, evaluate, fit_least_squares
+        from curveclust.splines import SHAPE, fit_least_squares
 
         # reference is the member with the larger mean similarity (tie -> id 0)
         warp = matrix.warp(1, 0)
@@ -310,7 +310,7 @@ class TestCombineGroup:
         ys = np.concatenate([np.tile(curves[0].samples, 3), curves[1].samples])
         fit = fit_least_squares(xs, ys, np.ones_like(xs), SHAPE)
         np.testing.assert_allclose(
-            rep.samples, evaluate(fit, self.grid.points), atol=1e-9
+            rep.samples, fit(self.grid.points), atol=1e-9
         )
 
     def test_bookkeeping(self):

@@ -237,6 +237,12 @@ class TestDunn:
         with pytest.raises(UndefinedIndexError):
             dunn([{"a", "b"}], pinned({("a", "b"): 0.5}))
 
+    @pytest.mark.parametrize("variants", [{"inter": "I4"}, {"intra": "J3"}])
+    def test_unknown_variant_rejected(self, variants):
+        dist = pinned({("a", "b"): 0.1, ("a", "c"): 1.0, ("b", "c"): 1.0})
+        with pytest.raises(InvalidInputError):
+            dunn([{"a", "b"}, {"c"}], dist, **variants)
+
 
 def partition_of_sizes(sizes, offset=0):
     groups = []

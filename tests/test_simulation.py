@@ -73,6 +73,13 @@ class TestGenerate:
         with pytest.raises(InvalidInputError):
             Scenario(shapes=("f9",), sizes=(3,))
 
+    # no exponents would divide by zero when a curve picks its warp; NaN and
+    # negative ones would write NaN or inf samples, and 0 a constant warp
+    @pytest.mark.parametrize("alphas", [(), (math.nan,), (math.inf,), (-1.0,), (0.0,)])
+    def test_bad_alphas_rejected(self, alphas):
+        with pytest.raises(InvalidInputError, match="alphas"):
+            Scenario(shapes=("f1",), sizes=(3,), alphas=alphas)
+
 
 class TestSangRandomShapes:
     def test_shape4_at_quarter(self):

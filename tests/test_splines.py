@@ -23,7 +23,6 @@ from curveclust.splines import (
     SplineRep,
     check_time_points,
     derivative,
-    evaluate,
     fit_least_squares,
     make_grid,
     spline_evaluator,
@@ -191,26 +190,21 @@ class TestEvaluate:
     def test_constant_spline(self):
         layout = uniform_layout(3, 4)
         spline = SplineRep(layout, np.full(layout.size, 3.25))
-        np.testing.assert_allclose(evaluate(spline, np.linspace(0, 1, 20)), 3.25, atol=1e-14)
+        np.testing.assert_allclose(spline(np.linspace(0, 1, 20)), 3.25, atol=1e-14)
 
     def test_evaluate_then_refit_round_trip(self):
         layout = uniform_layout(3, 7)
         rng = np.random.default_rng(5)
         spline = SplineRep(layout, rng.normal(size=layout.size))
         x = np.linspace(0, 1, 90)
-        refit = fit_least_squares(x, evaluate(spline, x), np.ones_like(x), layout)
+        refit = fit_least_squares(x, spline(x), np.ones_like(x), layout)
         np.testing.assert_allclose(refit.coefficients, spline.coefficients, atol=1e-8)
 
     def test_dense_grid_error_against_sine(self):
         x = np.linspace(0, 1, 500)
         target = np.sin(2.5 * np.pi * x)
         fit = fit_least_squares(x, target, np.ones_like(x), SHAPE)
-        assert np.abs(evaluate(fit, x) - target).max() <= 1e-3
-
-    def test_out_of_range_points_rejected(self):
-        spline = SplineRep(WARP, np.linspace(0, 1, 6))
-        with pytest.raises(InvalidInputError):
-            evaluate(spline, np.array([0.5, 1.2]))
+        assert np.abs(fit(x) - target).max() <= 1e-3
 
 
 class TestUncheckedConstruction:
@@ -372,7 +366,7 @@ class TestDerivative:
         fit = fit_least_squares(x, 2 * x + 1, np.ones_like(x), uniform_layout(3, 3))
         der = derivative(fit)
         assert der.layout.degree == 2
-        np.testing.assert_allclose(evaluate(der, x), 2.0, atol=1e-8)
+        np.testing.assert_allclose(der(x), 2.0, atol=1e-8)
 
     def test_matches_central_differences(self):
         layout = uniform_layout(3, 8)
@@ -381,13 +375,13 @@ class TestDerivative:
         x = np.linspace(0.01, 0.99, 200)
         h = 1e-5
         fd = (spline(x + h) - spline(x - h)) / (2 * h)
-        np.testing.assert_allclose(evaluate(derivative(spline), x), fd, atol=1e-4)
+        np.testing.assert_allclose(derivative(spline)(x), fd, atol=1e-4)
 
     def test_constant_spline_derivative_zero(self):
         layout = uniform_layout(3, 4)
         spline = SplineRep(layout, np.full(layout.size, 1.7))
         np.testing.assert_allclose(
-            evaluate(derivative(spline), np.linspace(0, 1, 30)), 0.0, atol=1e-12
+            derivative(spline)(np.linspace(0, 1, 30)), 0.0, atol=1e-12
         )
 
     def test_degree_zero_rejected(self):

@@ -9,7 +9,7 @@ from curveclust.curves import normalize, refit_on_grid
 from curveclust.errors import DegenerateDataError, MissingSimilaritiesError
 from curveclust.products import center_inner, centered_norm, warp_weighted_rows
 from curveclust.similarity import SimilarityMatrix, rho_given_psi, similarity_matrix
-from curveclust.splines import derivative, evaluate, uniform_grid
+from curveclust.splines import derivative, uniform_grid
 from curveclust.updating import (
     UpdateContext,
     _Quantities,
@@ -26,33 +26,32 @@ from curveclust.warping import (
     power_warp_raw,
 )
 
-from .conftest import identity_warp, random_smooth_curve, sine_shape
+from .conftest import identity_warp, random_smooth_curve, sine_shape, standing_for
 from .oracles import verify_improvement, warp_weighted_inner, warp_weighted_mean
 
 GRID = uniform_grid(300)
 
 
-def make_context(rng, k, lambda0=0.0, tau=1.0, sims=None, n_js=None, raw_scale=0.35):
+def make_context(rng, k, lambda0=0.0, tau=1.0, sims=None, raw_scale=0.35):
+    """k - 1 random neighbors, each standing for 1 to 3 original curves."""
     target = random_smooth_curve(0, GRID, rng)
     others = [random_smooth_curve(j + 1, GRID, rng) for j in range(k - 1)]
     warps = [make_warping(rng.normal(0, raw_scale, n_raw_params())) for _ in range(k - 1)]
     if sims is None:
         sims = [0.5 + 0.4 * rng.random() for _ in range(k - 1)]
-    if n_js is None:
-        n_js = [int(rng.integers(1, 4)) for _ in range(k - 1)]
+    others = [standing_for(other, int(rng.integers(1, 4))) for other in others]
     return UpdateContext(
         target=target,
         others=others,
         warps=warps,
         sims=list(sims),
-        n_js=list(n_js),
         tau=tau,
         lambda0=lambda0,
     )
 
 
 def warp_derivative(warp):
-    return evaluate(derivative(warp.forward), GRID.points)
+    return derivative(warp.forward)(GRID.points)
 
 
 class TestWeightedInner:
@@ -112,7 +111,6 @@ class TestSelectWeights:
             others=[target],
             warps=[identity_warp()],
             sims=[1.0],
-            n_js=[1],
             tau=1.0,
             lambda0=0.0,
         )
@@ -127,37 +125,52 @@ class TestSelectWeights:
             others=[flipped],
             warps=[identity_warp()],
             sims=[-1.0],
-            n_js=[1],
             tau=1.0,
             lambda0=0.0,
         )
         theta, all_zero = select_update_weights(ctx, _Quantities(ctx))
         assert all_zero
 
-    def test_proportionality_arithmetic(self):
-        # survivors with (n, w) = (1, 1.0) and (2, 0.8), tau = 1
+    @staticmethod
+    def two_neighbor_context(counts, sims):
+        """Two noisy sines, standing for `counts` original curves, as the
+        neighbors of a clean one, at identity warps and tau = 1."""
         rng = np.random.default_rng(42)
         target = normalize(refit_on_grid(0, GRID, sine_shape(GRID.points)))
         others = [
-            normalize(
-                refit_on_grid(
-                    j + 1, GRID, sine_shape(GRID.points) + rng.normal(0, 0.25, len(GRID))
-                )
+            standing_for(
+                normalize(
+                    refit_on_grid(
+                        j + 1, GRID, sine_shape(GRID.points) + rng.normal(0, 0.25, len(GRID))
+                    )
+                ),
+                count,
             )
-            for j in range(2)
+            for j, count in enumerate(counts)
         ]
-        ctx = UpdateContext(
+        return UpdateContext(
             target=target,
             others=others,
             warps=[identity_warp(), identity_warp()],
-            sims=[1.0, 0.8],
-            n_js=[1, 2],
+            sims=sims,
             tau=1.0,
             lambda0=0.0,
         )
+
+    def test_proportionality_arithmetic(self):
+        # survivors with (n, w) = (1, 1.0) and (2, 0.8), tau = 1
+        ctx = self.two_neighbor_context([1, 2], [1.0, 0.8])
         theta, all_zero = select_update_weights(ctx, _Quantities(ctx))
         assert not all_zero
         np.testing.assert_allclose(theta, [1.0 / 2.6, 1.6 / 2.6], atol=1e-12)
+
+    def test_weight_is_the_neighbor_member_count(self):
+        # at equal similarity, a neighbor standing for 3 originals weighs 3x
+        ctx = self.two_neighbor_context([1, 3], [0.8, 0.8])
+        assert [other.n_orig for other in ctx.others] == [1, 3]
+        theta, all_zero = select_update_weights(ctx, _Quantities(ctx))
+        assert not all_zero
+        np.testing.assert_allclose(theta, [0.25, 0.75], atol=1e-12)
 
     @given(st.integers(0, 300))
     def test_simplex_property(self, seed):
@@ -183,7 +196,7 @@ def reference_shrinkage(ctx, theta):
         return float(w @ (uc * vc))
 
     warped = [o.spline(np.clip(wp.forward(grid.points), 0, 1)) for o, wp in zip(ctx.others, ctx.warps)]
-    dpsis = [evaluate(derivative(wp.forward), grid.points) for wp in ctx.warps]
+    dpsis = [derivative(wp.forward)(grid.points) for wp in ctx.warps]
     norms = [math.sqrt(plain(h, h)) for h in warped]
     unit = [h / c for h, c in zip(warped, norms)]
     g0 = sum(t * u for t, u in zip(theta, unit))
@@ -233,7 +246,6 @@ class TestShrinkageConstant:
                 others=[normalize(c) for c in ctx.others],
                 warps=ctx.warps,
                 sims=ctx.sims,
-                n_js=ctx.n_js,
                 tau=ctx.tau,
                 lambda0=ctx.lambda0,
             )
@@ -257,7 +269,6 @@ class TestShrinkageConstant:
             others=[normalize(c) for c in ctx.others],
             warps=ctx.warps,
             sims=ctx.sims,
-            n_js=ctx.n_js,
             tau=ctx.tau,
             lambda0=0.0,
         )
@@ -283,7 +294,6 @@ class TestShrinkageConstant:
                 others=[normalize(c) for c in ctx.others],
                 warps=ctx.warps,
                 sims=ctx.sims,
-                n_js=ctx.n_js,
                 tau=ctx.tau,
                 lambda0=0.0,
             )
@@ -308,7 +318,6 @@ class TestUpdateCurve:
             others=[target],
             warps=[identity_warp()],
             sims=[1.0],
-            n_js=[1],
             tau=1.0,
             lambda0=0.0,
         )
@@ -322,7 +331,6 @@ class TestUpdateCurve:
             others=[normalize(c) for c in ctx.others],
             warps=ctx.warps,
             sims=ctx.sims,
-            n_js=ctx.n_js,
             tau=ctx.tau,
             lambda0=0.0,
         )
@@ -349,7 +357,6 @@ class TestUpdateCurve:
             others=[normalize(c) for c in ctx.others],
             warps=ctx.warps,
             sims=ctx.sims,
-            n_js=ctx.n_js,
             tau=ctx.tau,
             lambda0=0.0,
         )
@@ -400,7 +407,6 @@ class TestImprovementGuarantee:
                     rho_parts(ctx.target, o, wp, ctx.lambda0).rho
                     for o, wp in zip(ctx.others, ctx.warps)
                 ],
-                n_js=ctx.n_js,
                 tau=ctx.tau,
                 lambda0=ctx.lambda0,
             )
@@ -429,7 +435,7 @@ def loop_quantities(ctx):
         o.spline(np.clip(wp.forward(grid.points), 0.0, 1.0))
         for o, wp in zip(ctx.others, ctx.warps)
     ]
-    dpsi = [evaluate(derivative(wp.forward), grid.points) for wp in ctx.warps]
+    dpsi = [derivative(wp.forward)(grid.points) for wp in ctx.warps]
     k = len(warped)
     norms = np.array([centered_norm(h, w) for h in warped])
     unit = [h / c for h, c in zip(warped, norms)]
@@ -562,7 +568,6 @@ class TestUpdateAllOrder:
                     others=[pool[i] for i in other_ids],
                     warps=[matrix.warp(target_id, i) for i in other_ids],
                     sims=[matrix.rho(target_id, i) for i in other_ids],
-                    n_js=[pool[i].n_orig for i in other_ids],
                     tau=1.0,
                     lambda0=0.5,
                 )

@@ -39,7 +39,7 @@ from curveclust.similarity import (
     similarity,
     similarity_matrix,
 )
-from curveclust.splines import SplineRep, derivative, evaluate, make_grid, uniform_layout
+from curveclust.splines import SplineRep, derivative, make_grid, uniform_layout
 from curveclust.updating import update_all, weight_exponent
 from curveclust.warping import (
     invert_warping,
@@ -65,7 +65,7 @@ class TestMakeWarping:
         warp = make_warping(np.array(raw) + shift)
         assert warp.forward(np.array([0.0]))[0] == 0.0
         assert warp.forward(np.array([1.0]))[0] == 1.0
-        dvals = evaluate(derivative(warp.forward), CHECK)
+        dvals = derivative(warp.forward)(CHECK)
         assert dvals.min() > 0.0
 
     def test_power_projection_close(self):
@@ -86,7 +86,7 @@ class TestMakeWarping:
 class TestInvertWarping:
     def test_identity_round_trip(self):
         inv = invert_warping(identity_warp().forward)
-        assert np.abs(evaluate(inv, CHECK) - CHECK).max() <= 1e-6
+        assert np.abs(inv(CHECK) - CHECK).max() <= 1e-6
 
     def test_square_warp_inverse_is_sqrt(self):
         # t^2 lies exactly in the quadratic warp space
@@ -121,7 +121,7 @@ class TestForwardOnGrid:
         for j, warp in enumerate(warps):
             want = np.clip(warp.forward(grid.points), 0.0, 1.0)
             np.testing.assert_allclose(psi[j], want, rtol=0, atol=1e-12)
-            want_d = evaluate(derivative(warp.forward), grid.points)
+            want_d = derivative(warp.forward)(grid.points)
             np.testing.assert_allclose(dpsi[j], want_d, rtol=1e-12, atol=1e-12)
         assert psi.min() >= 0.0 and psi.max() <= 1.0
 
