@@ -26,10 +26,6 @@ from .similarity import similarity, similarity_matrix
 from .simulation import PRESETS, Scenario, generate, scenario_preset
 from .warping import warp_samples
 
-# cluster, align and indexes smooth onto the same grid unless told otherwise,
-# so align and indexes reproduce the values a cluster run used
-_DEFAULT_GRID = RunConfig.grid_size
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -43,7 +39,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda0", type=float, required=True)
     p.add_argument("--index", choices=INDEX_NAMES, default=RunConfig.index)
     p.add_argument("--quantile-a", type=float, default=RunConfig.quantile_a)
-    p.add_argument("--grid", type=int, default=_DEFAULT_GRID)
+    # align and indexes take the same default grid, so that they reproduce the
+    # values a cluster run used
+    p.add_argument("--grid", type=int, default=RunConfig.grid_size)
     p.add_argument("--max-iter", type=int, default=RunConfig.max_iterations)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_cluster)
@@ -67,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--pair", required=True, help="two curve ids, e.g. 3,7")
     p.add_argument("--lambda0", type=float, required=True)
-    p.add_argument("--grid", type=int, default=_DEFAULT_GRID)
+    p.add_argument("--grid", type=int, default=RunConfig.grid_size)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_align)
 
@@ -75,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--lambda0", type=float, required=True)
-    p.add_argument("--grid", type=int, default=_DEFAULT_GRID)
+    p.add_argument("--grid", type=int, default=RunConfig.grid_size)
     p.set_defaults(func=_cmd_indexes)
 
     return parser

@@ -197,11 +197,11 @@ class Layout:
 
     def derivative_on_grid(self, grid: Grid) -> np.ndarray:
         """The design whose product with a spline's coefficients is the
-        spline's derivative at the grid's points: `lower.on_grid` times
-        `_difference_operator`."""
+        spline's derivative at the grid's points: `lower.on_grid` times the
+        derivative coefficients (`_splder`) of the identity's columns."""
         return self._design(
             (grid.key, "derivative"),
-            lambda: self.lower.on_grid(grid) @ _difference_operator(self),
+            lambda: self.lower.on_grid(grid) @ _splder(self, np.eye(self.size)),
         )
 
 
@@ -290,16 +290,12 @@ def derivative(spline: SplineRep) -> SplineRep:
     layout = spline.layout
     if layout.degree < 1:
         raise UnsupportedDegreeError("cannot differentiate a degree-0 spline")
-    t, c, k = layout.knots, np.asarray(spline.coefficients, dtype=float), layout.degree
-    return SplineRep(layout.lower, (c[1:] - c[:-1]) * k / (t[k + 1 : -1] - t[1 : -k - 1]))
+    return SplineRep(layout.lower, _splder(layout, np.asarray(spline.coefficients, dtype=float)))
 
 
-def _difference_operator(layout: Layout) -> np.ndarray:
-    """Matrix mapping spline coefficients to derivative-spline coefficients."""
-    t, k, nb = layout.knots, layout.degree, layout.size
-    op = np.zeros((nb - 1, nb))
-    for i in range(nb - 1):
-        span = t[i + k + 1] - t[i + 1]
-        op[i, i] = -k / span
-        op[i, i + 1] = k / span
-    return op
+def _splder(layout: Layout, c: np.ndarray) -> np.ndarray:
+    """The derivative's coefficients of the coefficients along c's first axis:
+    scipy's `splder` expression, term for term."""
+    t, k = layout.knots, layout.degree
+    span = t[k + 1 : -1] - t[1 : -k - 1]
+    return (c[1:] - c[:-1]) * k / span.reshape(span.shape + (1,) * (c.ndim - 1))

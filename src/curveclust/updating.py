@@ -18,7 +18,7 @@ import numpy as np
 
 from .curves import Curve, normalize, refit_on_grid
 from .errors import DegenerateDataError, MissingSimilaritiesError
-from .products import center_inner, centered_norm, warp_weighted_rows
+from .products import ZERO_NORM_TOL, center_inner, centered_norm, warp_weighted_rows
 from .splines import SHAPE, Layout
 from .warping import Warping, forward_on_grid
 
@@ -78,7 +78,7 @@ class _Quantities:
         )
         centered = self.warped - (self.warped @ w)[:, None]
         self.norms = np.sqrt((centered * centered) @ w)
-        if np.any(self.norms <= 1e-12):
+        if np.any(self.norms <= ZERO_NORM_TOL):
             raise DegenerateDataError("warped neighbor has zero seminorm")
         self.unit = self.warped / self.norms[:, None]
         # plain centered inner products with the target

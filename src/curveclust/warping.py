@@ -64,7 +64,7 @@ _FATOL = 1e-12
 # a build is split into the fewest blocks of at most this many // grid points
 # rows, their sizes at most one row apart.  A call's 20 or so row-by-grid
 # temporaries then stay within a 2 MB L2 cache, and a lone pair's 5 rows at
-# grid 500 stay one block (README "Performance" has the sweep behind 4,096).
+# grid 500 stay one block (README "Design and performance" has the sweep).
 _BLOCK_VALUES = 4_096
 
 

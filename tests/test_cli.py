@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curveclust import warping
-from curveclust.cli import main
+from curveclust.cli import _build_parser, main
 from curveclust.errors import InvalidInputError, WarpRangeError
 from curveclust.io import (
     read_curves_csv,
@@ -44,6 +44,25 @@ def s31_dataset(tmp_path_factory):
     )
     assert code == 0
     return curves
+
+
+def test_subcommands_take_run_config_defaults():
+    # align and indexes reproduce a cluster run's values only on its grid
+    required = {
+        "cluster": ["--input", "c.csv", "--lambda0", "0", "--output", "r.json"],
+        "align": ["--input", "c.csv", "--pair", "0,1", "--lambda0", "0", "--out", "a.json"],
+        "indexes": ["--input", "c.csv", "--partition", "r.json", "--lambda0", "0"],
+    }
+    parser = _build_parser()
+    parsed = {command: parser.parse_args([command, *args]) for command, args in required.items()}
+    grids = {command: args.grid for command, args in parsed.items()}
+    assert grids == dict.fromkeys(required, RunConfig.grid_size)
+    cluster = parsed["cluster"]
+    assert (cluster.index, cluster.quantile_a, cluster.max_iter) == (
+        RunConfig.index,
+        RunConfig.quantile_a,
+        RunConfig.max_iterations,
+    )
 
 
 class TestSimulate:
