@@ -12,12 +12,13 @@ from .similarity import (
     similarity_matrix,
 )
 from .simulation import Scenario, generate, scenario_preset
-from .splines import Layout, SplineRep, uniform_grid
+from .splines import Grid, Layout, SplineRep
 from .updating import UpdateContext, update_all, update_curve, weight_exponent
 from .warping import Warping, invert_warping, make_warping, roughness_penalty
 
 __all__ = [
     "Curve",
+    "Grid",
     "Layout",
     "Partition",
     "RunConfig",
@@ -48,7 +49,6 @@ __all__ = [
     "similarity",
     "similarity_matrix",
     "smooth_curve",
-    "uniform_grid",
     "update_all",
     "update_curve",
     "weight_exponent",

@@ -28,7 +28,7 @@ from .curves import Curve, smooth_curve
 from .errors import DegenerateDataError, InvalidInputError
 from .indices import DistanceMatrix, distances_from_similarity, index_function
 from .similarity import PairCache, SimilarityMatrix, search_uncached, similarity_matrix
-from .splines import SHAPE, Layout, check_time_points, uniform_grid
+from .splines import SHAPE, Grid, Layout, check_count, check_time_points
 from .updating import update_all, weight_exponent
 from .warping import check_lambda0, warp_samples
 
@@ -57,10 +57,8 @@ class RunConfig:
         check_lambda0(self.lambda0)
         if not 0.0 < self.quantile_a < 1.0:
             raise InvalidInputError("quantile_a must lie in (0, 1)")
-        if self.max_iterations < 1:
-            raise InvalidInputError("max_iterations must be at least 1")
-        if self.grid_size < 50:
-            raise InvalidInputError("grid_size must be at least 50")
+        check_count(self.max_iterations, 1, "max_iterations")
+        check_count(self.grid_size, 50, "grid_size")
         index_function(self.index)
 
 
@@ -105,7 +103,7 @@ def prepare_curves(points, rows, config: RunConfig) -> List[Curve]:
     """Smooth raw observations onto the shared run grid; curve i is row i."""
     # smoothed on the caller's own points, not on a grid's snapped copy
     points = check_time_points(points)
-    grid = uniform_grid(config.grid_size)
+    grid = Grid(config.grid_size)
     rows = np.asarray(rows, dtype=float)
     return [
         smooth_curve(i, points, row, grid, settings=config.splines)

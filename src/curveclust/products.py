@@ -2,7 +2,7 @@
 
 All integrals in the package are composite trapezoid sums on the same grid, so
 discretization errors cancel in comparisons.  `weights` is always the trapezoid
-weight vector of the grid (see splines.trapezoid_weights).
+weight vector of the grid (see splines.Grid).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .splines import SHAPE
+from .splines import SHAPE, check_count
 
 # Power-warp exponents: 0.86 + 0.03 (k - 1), k = 1..10.
 DEFAULT_ALPHAS = tuple(0.86 + 0.03 * k for k in range(10))
@@ -98,16 +98,16 @@ class Scenario:
     def __post_init__(self):
         if len(self.shapes) != len(self.sizes):
             raise InvalidInputError("one size per shape is required")
-        if any(n <= 0 for n in self.sizes):
-            raise InvalidInputError("group sizes must be positive")
+        for size in self.sizes:
+            check_count(size, 1, "a group size")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise InvalidInputError("sigma must be finite and nonnegative")
         if self.n_points < MIN_POINTS:
             raise InvalidInputError(
                 f"need at least {MIN_POINTS} time points, one per shape-spline basis function"
             )
-        if self.seed < 0:
-            raise InvalidInputError("seed must be nonnegative")
+        check_count(self.n_points, MIN_POINTS, "n_points")
+        check_count(self.seed, 0, "seed")
         if not (self.alphas and all(math.isfinite(a) and a > 0 for a in self.alphas)):
             raise InvalidInputError("alphas must be one or more finite positive exponents")
         for name in self.shapes:

@@ -9,8 +9,8 @@ A spline space is one `Layout`: a degree and a count of equally spaced
 interior knots.  It is shared by every spline in it and compared by identity,
 and it caches its knot vector and, per grid, its design matrices.  The
 package uses three: `SHAPE` here, the cubic shape space on 16 interior
-knots, and `warping.WARP` and `warping.INVERSE`.  Every grid is
-`uniform_grid(n)`: n equally spaced points on [0, 1].
+knots, and `warping.WARP` and `warping.INVERSE`.  `Grid(n)`, the one kind of
+grid, is n equally spaced points on [0, 1]; grids of one size are equal.
 
 scipy is used only through its compiled module `scipy.interpolate._dierckx`,
 loaded from its file without running scipy's package initializers (importing
@@ -70,26 +70,6 @@ def _compiled_splines():
 _compiled = _compiled_splines()
 
 
-@dataclass(eq=False)
-class Grid:
-    """Shared evaluation grid on [0, 1] with cached trapezoid weights."""
-
-    points: np.ndarray
-    weights: np.ndarray
-    key: bytes
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def trapezoid_weights(points: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(points)
-    d = np.diff(points)
-    w[:-1] += d / 2.0
-    w[1:] += d / 2.0
-    return w
-
-
 def check_time_points(points) -> np.ndarray:
     """The points as a float array, once they are checked to span [0, 1]:
     1-D, at least 4 of them, finite, strictly increasing, ends within 1e-9 of
@@ -107,17 +87,39 @@ def check_time_points(points) -> np.ndarray:
     return pts
 
 
-def uniform_grid(n: int) -> Grid:
-    """The grid of n >= 4 equally spaced points on [0, 1]."""
-    if n < 4:
-        raise InvalidInputError("need at least 4 time points")
-    points = np.linspace(0.0, 1.0, n)
-    return Grid(points=points, weights=trapezoid_weights(points), key=points.tobytes())
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def check_count(value, least: int, what: str) -> None:
+    """Reject a count that is not an integer of at least `least`."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise InvalidInputError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class Grid:
+    """The shared evaluation grid: n >= 4 equally spaced points on [0, 1],
+    equal to every grid of its size.  `points` and `weights` (each point's
+    trapezoid weight: half of each interval beside it) are read-only."""
+
+    n: int
+
+    def __post_init__(self):
+        check_count(self.n, 4, "the number of grid points")
+
+    def __len__(self) -> int:
+        return self.n
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        return _read_only(np.linspace(0.0, 1.0, self.n))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        half = np.diff(self.points) / 2.0
+        return _read_only(np.append(half, 0.0) + np.insert(half, 0, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,10 +136,8 @@ class Layout:
     _designs: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise InvalidInputError(f"degree must be >= 1, got {self.degree}")
-        if not (isinstance(self.count, (int, np.integer)) and self.count >= 0):
-            raise InvalidInputError(f"knot count must be an integer >= 0, got {self.count!r}")
+        check_count(self.degree, 1, "degree")
+        check_count(self.count, 0, "knot count")
 
     @cached_property
     def interior(self) -> np.ndarray:
@@ -186,14 +186,14 @@ class Layout:
 
     def on_grid(self, grid: Grid) -> np.ndarray:
         """`basis` at the grid's points."""
-        return self._design(grid.key, lambda: self.basis(grid.points))
+        return self._design(grid, lambda: self.basis(grid.points))
 
     def derivative_on_grid(self, grid: Grid) -> np.ndarray:
         """The design whose product with a spline's coefficients is the
         spline's derivative at the grid's points: `lower.on_grid` times the
         derivative coefficients (`_splder`) of the identity's columns."""
         return self._design(
-            (grid.key, "derivative"),
+            (grid, "derivative"),
             lambda: self.lower.on_grid(grid) @ _splder(self, np.eye(self.size)),
         )
 

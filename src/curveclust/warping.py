@@ -72,7 +72,7 @@ _BLOCK_VALUES = 4_096
 class Warping:
     """Forward warp spline paired with a spline approximation of its inverse.
 
-    `on_grid` holds, per grid key, what `rho_parts` needs of the warp alone
+    `on_grid` holds, per grid, what `rho_parts` needs of the warp alone
     (`_grid_parts`), computed at the first call on that grid.
     """
 
@@ -240,11 +240,11 @@ def _grid_parts(warp: Warping, grid: Grid) -> tuple:
     """psi and its inverse at the grid points, range-checked and clipped into
     [0, 1] (read-only), and the roughness penalties of the warp and of its
     inverse: computed at the first call for a grid and kept on the warp."""
-    parts = warp.on_grid.get(grid.key)
+    parts = warp.on_grid.get(grid)
     if parts is None:
         psi = _read_only(_checked_warp_values(warp.forward, grid.points))
         psi_inv = _read_only(_checked_warp_values(warp.inverse, grid.points))
-        parts = warp.on_grid[grid.key] = (
+        parts = warp.on_grid[grid] = (
             psi,
             psi_inv,
             roughness_penalty(warp, grid),
@@ -260,7 +260,7 @@ def rho_parts(f: Curve, g: Curve, warp: Warping, lambda0: float) -> SimilarityEn
     reverse part correlates g with f evaluated through the approximate inverse.
     """
     check_lambda0(lambda0)
-    if f.grid.key != g.grid.key:
+    if f.grid != g.grid:
         raise InvalidInputError("curves must share the same grid")
     grid = f.grid
     psi, psi_inv, p_fwd, p_inv = _grid_parts(warp, grid)
@@ -627,7 +627,7 @@ def final_points(pairs, lambda0: float) -> np.ndarray:
     the caller raises, the helpers still running are killed and reaped.
     """
     check_lambda0(lambda0)
-    if len({curve.grid.key for pair in pairs for curve in pair}) > 1:
+    if len({curve.grid for pair in pairs for curve in pair}) > 1:
         raise InvalidInputError("curves must share the same grid")
     for pair in pairs:
         if any(centered_norm(c.samples, c.grid.weights) <= ZERO_NORM_TOL for c in pair):

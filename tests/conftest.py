@@ -7,7 +7,7 @@ import pytest
 
 from curveclust.curves import normalize, refit_on_grid
 from curveclust.indices import DistanceMatrix
-from curveclust.splines import uniform_grid
+from curveclust.splines import Grid
 from curveclust.warping import make_warping, n_raw_params
 
 hypothesis.settings.register_profile(
@@ -18,17 +18,17 @@ hypothesis.settings.load_profile("curveclust")
 
 @pytest.fixture(scope="session")
 def grid500():
-    return uniform_grid(500)
+    return Grid(500)
 
 
 @pytest.fixture(scope="session")
 def grid200():
-    return uniform_grid(200)
+    return Grid(200)
 
 
 @pytest.fixture(scope="session")
 def grid100():
-    return uniform_grid(100)
+    return Grid(100)
 
 
 def assert_no_child():

@@ -14,7 +14,7 @@ from curveclust.indices import adjusted_rand
 from curveclust.pipeline import RunConfig, prepare_curves, run
 from curveclust.similarity import similarity
 from curveclust.simulation import Scenario, generate, scenario_preset
-from curveclust.splines import uniform_grid
+from curveclust.splines import Grid
 from curveclust.updating import UpdateContext
 from curveclust.warping import (
     make_warping,
@@ -121,7 +121,7 @@ class TestCriterion3TwoGroupRecovery:
 
 class TestCriterion4ImprovementGuarantee:
     def test_two_hundred_random_instances(self):
-        grid = uniform_grid(200)
+        grid = Grid(200)
         qualifying = failures = 0
         for instance in range(200):
             rng = np.random.default_rng(1000 + instance)
@@ -193,7 +193,7 @@ class TestCriterion7IndexRobustness:
 
 class TestCriterion8PenaltyMonotonicity:
     def test_rho_nonincreasing_in_lambda0(self):
-        grid = uniform_grid(200)
+        grid = Grid(200)
         worst = 0.0
         for trial in range(20):
             rng = np.random.default_rng(100 + trial)

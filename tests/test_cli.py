@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curveclust
 from curveclust import warping
 from curveclust.cli import _build_parser, main
 from curveclust.errors import InvalidInputError, WarpRangeError
@@ -122,6 +127,33 @@ class TestCluster:
                 ]
             )
             assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_same_bytes_under_two_hash_seeds(self, tmp_path):
+        # each run is a new interpreter started as `python -m curveclust`, under
+        # its own hash seed: an output that followed the iteration order of a
+        # set or dict of strings would differ between the two
+        src = str(Path(curveclust.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+
+        def module(hash_seed, *args):
+            env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed}
+            command = [sys.executable, "-m", "curveclust", *args]
+            subprocess.run(command, env=env, check=True, capture_output=True, timeout=120)
+
+        curves, labels = tmp_path / "curves.csv", tmp_path / "labels.csv"
+        module(
+            "0", "simulate", "--scenario", "s31", "--sizes", "3,3,3", "--seed", "4",
+            "--out", str(curves), "--labels", str(labels),
+        )
+        outputs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"hash{hash_seed}.json"
+            module(
+                hash_seed, "cluster", "--input", str(curves), "--lambda0", "0.5",
+                "--grid", "60", "--max-iter", "3", "--output", str(out),
+            )
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 

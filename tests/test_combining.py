@@ -17,7 +17,7 @@ from curveclust.errors import InvalidInputError
 from curveclust.indices import silhouette
 from curveclust.products import sum_in_order
 from curveclust.similarity import similarity_matrix
-from curveclust.splines import uniform_grid
+from curveclust.splines import Grid
 
 from .conftest import pair_distances, sine_shape
 
@@ -274,7 +274,7 @@ class TestSumsInOrder:
 
 class TestCombineGroup:
     def setup_method(self):
-        self.grid = uniform_grid(200)
+        self.grid = Grid(200)
 
     def curves_and_matrix(self, amplitudes, sizes=None):
         """Curve i stands for sizes[i] original curves (default 1), with

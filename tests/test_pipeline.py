@@ -20,7 +20,7 @@ from curveclust.pipeline import (
 )
 from curveclust.io import result_json
 from curveclust.simulation import Scenario, generate, scenario_preset
-from curveclust.splines import SHAPE, derivative, uniform_grid
+from curveclust.splines import SHAPE, Grid, derivative
 from curveclust.updating import update_all, weight_exponent
 from curveclust.warping import INVERSE, WARP
 
@@ -72,8 +72,8 @@ class TestPrepareCurves:
         points[0], points[-1] = 4e-10, 1.0 - 5e-10
         row = np.sin(3 * points)
         curve = prepare_curves(points, [row], RunConfig(lambda0=0.0, grid_size=100))[0]
-        own = smooth_curve(0, points, row, uniform_grid(100))
-        snapped = smooth_curve(0, np.linspace(0, 1, 60), row, uniform_grid(100))
+        own = smooth_curve(0, points, row, Grid(100))
+        snapped = smooth_curve(0, np.linspace(0, 1, 60), row, Grid(100))
         np.testing.assert_array_equal(curve.samples, own.samples)
         assert not np.array_equal(curve.samples, snapped.samples)
 
@@ -88,6 +88,15 @@ class TestPrepareCurves:
         for index in ("silhoutte", "dunn", "dunn_I1_J1", "dunn-I4-J1", "dunn-I1-j1"):
             with pytest.raises(InvalidInputError):
                 RunConfig(lambda0=0.0, index=index)
+
+    # a float count would pass the bounds and fail later, in numpy or range
+    @pytest.mark.parametrize(
+        "field, value",
+        [("grid_size", 100.0), ("grid_size", float("nan")), ("max_iterations", 2.5)],
+    )
+    def test_counts_are_integers(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be an integer"):
+            RunConfig(lambda0=0.0, **{field: value})
 
 
 class TestLayouts:
@@ -127,7 +136,7 @@ class TestRunSingleThreshold:
     """One threshold's loop, driven alone through `_run_loops`."""
 
     def test_identical_pair_combines_immediately(self):
-        grid = uniform_grid(100)
+        grid = Grid(100)
         curves = [
             refit_on_grid(0, grid, sine_shape(grid.points), members=frozenset({0})),
             refit_on_grid(1, grid, sine_shape(grid.points), members=frozenset({1})),
@@ -139,7 +148,7 @@ class TestRunSingleThreshold:
         assert records[0].iteration == 1
 
     def test_unreachable_threshold_gives_singleton_fallback(self):
-        grid = uniform_grid(100)
+        grid = Grid(100)
         curves = [
             refit_on_grid(0, grid, sine_shape(grid.points), members=frozenset({0})),
             refit_on_grid(1, grid, bump_shape(grid.points), members=frozenset({1})),
@@ -343,7 +352,7 @@ def _design(seed, rows=range(6), ids=range(6), **config):
                   sizes=(3, 3), sigma=0.1, n_points=80, seed=seed)
     data = generate(sc)
     config = tiny_run_config(lambda0=0.5, **config)
-    grid = uniform_grid(config.grid_size)
+    grid = Grid(config.grid_size)
     curves = [smooth_curve(i, data.points, data.samples[r], grid) for i, r in zip(ids, rows)]
     return curves, config
 

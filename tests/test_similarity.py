@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from curveclust.curves import refit_on_grid
-from curveclust import splines, warping
+from curveclust import warping
 from curveclust.errors import InvalidInputError, InvalidParameterError, ZeroVarianceError
 from curveclust.products import center_inner, corr
 from curveclust.similarity import (
@@ -15,7 +15,7 @@ from curveclust.similarity import (
     similarity,
     similarity_matrix,
 )
-from curveclust.splines import Grid, trapezoid_weights, uniform_grid
+from curveclust.splines import Grid
 from curveclust.warping import (
     make_warping,
     n_raw_params,
@@ -24,7 +24,7 @@ from curveclust.warping import (
 
 from .conftest import bump_shape, identity_warp, random_smooth_curve, sine_shape
 
-GRID = uniform_grid(500)
+GRID = Grid(500)
 W = GRID.weights
 T = GRID.points
 
@@ -143,14 +143,14 @@ class TestSimilarity:
 
     def test_rho_never_exceeds_one(self):
         rng = np.random.default_rng(2)
-        grid = uniform_grid(200)
+        grid = Grid(200)
         a = random_smooth_curve(0, grid, rng)
         b = random_smooth_curve(1, grid, rng)
         for lambda0 in (0.0, 0.5):
             assert similarity(a, b, lambda0).rho <= 1.0
 
     def test_self_warp_recoverability(self):
-        grid = uniform_grid(200)
+        grid = Grid(200)
         f = refit_on_grid(0, grid, sine_shape(grid.points))
         rng = np.random.default_rng(11)
         for _ in range(3):
@@ -159,7 +159,7 @@ class TestSimilarity:
             assert similarity(f, warped, 0.0).rho >= 0.99
 
     def test_monotone_in_lambda0(self):
-        grid = uniform_grid(200)
+        grid = Grid(200)
         rng = np.random.default_rng(3)
         a = random_smooth_curve(0, grid, rng)
         b = random_smooth_curve(1, grid, rng)
@@ -169,7 +169,7 @@ class TestSimilarity:
 
 class TestSimilarityMatrix:
     def test_three_curves_three_entries(self):
-        grid = uniform_grid(100)
+        grid = Grid(100)
         curves = [
             refit_on_grid(0, grid, sine_shape(grid.points)),
             refit_on_grid(1, grid, sine_shape(grid.points**1.1)),
@@ -179,7 +179,7 @@ class TestSimilarityMatrix:
         assert len(matrix.values()) == 3
 
     def test_symmetric_lookup(self):
-        grid = uniform_grid(100)
+        grid = Grid(100)
         curves = [
             refit_on_grid(0, grid, sine_shape(grid.points)),
             refit_on_grid(1, grid, bump_shape(grid.points)),
@@ -224,7 +224,7 @@ class TestSimilarityMatrix:
             SimilarityMatrix(entries, [0, 1, 2])
 
     def test_recomputation_deterministic(self):
-        grid = uniform_grid(100)
+        grid = Grid(100)
         curves = [
             refit_on_grid(0, grid, sine_shape(grid.points)),
             refit_on_grid(1, grid, sine_shape(grid.points**0.9)),
@@ -235,7 +235,7 @@ class TestSimilarityMatrix:
         assert first.values() == second.values()
 
     def test_cache_round_trip(self):
-        grid = uniform_grid(100)
+        grid = Grid(100)
         curves = [
             refit_on_grid(0, grid, sine_shape(grid.points)),
             refit_on_grid(1, grid, bump_shape(grid.points)),
@@ -266,7 +266,7 @@ class TestBadLambda0:
         "entry_point", ["similarity", "similarity_matrix", "rho_given_psi"]
     )
     def test_rejected(self, entry_point, lambda0):
-        grid = uniform_grid(100)
+        grid = Grid(100)
         f = refit_on_grid(0, grid, sine_shape(grid.points))
         g = refit_on_grid(1, grid, sine_shape(grid.points**1.2))
         call = {
@@ -278,32 +278,25 @@ class TestBadLambda0:
             call()
 
 
-def _empty_design_caches(monkeypatch) -> None:
-    """Give every layout the package builds splines in an empty cache of grid
-    designs, until the test ends."""
-    for layout in (splines.SHAPE, warping.WARP, warping.INVERSE):
-        for space in (layout, layout.lower):
-            monkeypatch.setitem(vars(space), "_designs", {})
-
-
 class TestCachesKeyedByInput:
-    def test_workspace_of_another_grid_of_equal_length_is_not_used(self, monkeypatch):
-        uniform = uniform_grid(100)
-        points = np.linspace(0.0, 1.0, 100) ** 1.5
-        stretched = Grid(points, trapezoid_weights(points), points.tobytes())
-        f, g = (
-            refit_on_grid(i, stretched, sine_shape(stretched.points**p))
+    def test_grid_of_one_size_built_apart_reuses_the_warp_parts(self):
+        # a warp keeps its grid values per grid, and grids of one size are
+        # equal: curves on a second Grid(100) read the parts of the first
+        warp = make_warping(np.random.default_rng(41).normal(0.0, 0.5, n_raw_params()))
+        first, second = Grid(100), Grid(100)
+        assert first is not second
+        f, g, u, v = (
+            refit_on_grid(i, grid, sine_shape(grid.points**p))
+            for grid in (first, second)
             for i, p in ((0, 1.0), (1, 1.2))
         )
-        _empty_design_caches(monkeypatch)
-        alone = _entry_bytes(similarity(f, g, 0.5))
-        _empty_design_caches(monkeypatch)
-        u, v = (refit_on_grid(i, uniform, sine_shape(uniform.points)) for i in (0, 1))
-        similarity(u, v, 0.5)
-        assert _entry_bytes(similarity(f, g, 0.5)) == alone
+        want = _entry_bytes(warping.rho_parts(f, g, warp, 0.5))
+        (parts,) = warp.on_grid.values()
+        assert _entry_bytes(warping.rho_parts(u, v, warp, 0.5)) == want
+        assert list(warp.on_grid) == [first] and warp.on_grid[second] is parts
 
     def test_pair_cache_keeps_penalties_apart(self):
-        grid = uniform_grid(100)
+        grid = Grid(100)
         curves = [
             refit_on_grid(0, grid, sine_shape(grid.points)),
             refit_on_grid(1, grid, sine_shape(grid.points**1.3)),

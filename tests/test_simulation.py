@@ -15,7 +15,7 @@ from curveclust.simulation import (
     shape_f1,
     shape_f3,
 )
-from curveclust.splines import uniform_grid
+from curveclust.splines import Grid
 
 
 class TestGenerate:
@@ -80,6 +80,16 @@ class TestGenerate:
         with pytest.raises(InvalidInputError, match="alphas"):
             Scenario(shapes=("f1",), sizes=(3,), alphas=alphas)
 
+    # a float count would pass the bounds and fail later, in generate
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(n_points=100.0), dict(sizes=(2.5, 2, 2)), dict(seed=1.5)],
+        ids=["n_points", "sizes", "seed"],
+    )
+    def test_counts_are_integers(self, fields):
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            Scenario(**{"shapes": ("f1", "f2", "f3"), "sizes": (2, 2, 2), **fields})
+
 
 class TestSangRandomShapes:
     def test_shape4_at_quarter(self):
@@ -113,7 +123,7 @@ class TestShapeIdentities:
     def test_same_shape_after_warping(self):
         # the third shape is the first composed with t^2.5, so noiseless
         # curves from the two groups are near-perfectly similar at zero penalty
-        grid = uniform_grid(300)
+        grid = Grid(300)
         f = refit_on_grid(0, grid, shape_f1(grid.points))
         g = refit_on_grid(1, grid, shape_f3(grid.points))
         assert similarity(f, g, 0.0).rho >= 0.99

@@ -13,14 +13,13 @@ import curveclust
 from curveclust.errors import InvalidInputError, SingularFitError
 from curveclust.splines import (
     SHAPE,
+    Grid,
     Layout,
     SplineRep,
     check_time_points,
     derivative,
     fit_least_squares,
     spline_evaluator,
-    trapezoid_weights,
-    uniform_grid,
 )
 from curveclust.warping import INVERSE, WARP, make_warping, n_raw_params
 
@@ -151,9 +150,9 @@ class TestFitLeastSquares:
     def test_grid_basis_fit_byte_equal(self):
         # the refit of every update reads one cached, read-only design per
         # grid and layout, and fits the same bytes as a fresh design
-        grid = uniform_grid(100)
+        grid = Grid(100)
         basis = SHAPE.on_grid(grid)
-        assert SHAPE.on_grid(uniform_grid(100)) is basis
+        assert SHAPE.on_grid(Grid(100)) is basis
         assert Layout(3, 16).on_grid(grid) is not basis
         assert not basis.flags.writeable
         np.testing.assert_array_equal(basis, SHAPE.basis(grid.points))
@@ -166,11 +165,11 @@ class TestFitLeastSquares:
     @pytest.mark.parametrize("n_points", [100, 500])
     def test_grid_derivative_basis_shared_and_read_only(self, n_points):
         # the warp search and forward_on_grid read psi' through this design
-        grid = uniform_grid(n_points)
+        grid = Grid(n_points)
         rng = np.random.default_rng(34)
         for layout in (WARP, INVERSE):
             deriv = layout.derivative_on_grid(grid)
-            assert layout.derivative_on_grid(uniform_grid(n_points)) is deriv
+            assert layout.derivative_on_grid(Grid(n_points)) is deriv
             assert deriv is not layout.on_grid(grid)
             assert deriv is not layout.lower.on_grid(grid)
             assert not deriv.flags.writeable
@@ -398,8 +397,6 @@ class TestDerivative:
 class TestGrid:
     def test_grid_validation(self):
         with pytest.raises(InvalidInputError):
-            uniform_grid(3)  # too short
-        with pytest.raises(InvalidInputError):
             check_time_points([0.0, 0.5, 1.0])  # too short
         with pytest.raises(InvalidInputError):
             check_time_points([0.0, 0.5, 0.4, 1.0])
@@ -413,13 +410,33 @@ class TestGrid:
         with pytest.raises(InvalidInputError, match="finite"):
             check_time_points(points)
 
+    @pytest.mark.parametrize("n", [3, 100.0, float("nan"), "100"])
+    def test_grid_size_is_an_integer_of_at_least_4(self, n):
+        with pytest.raises(InvalidInputError, match="number of grid points"):
+            Grid(n)
+
+    def test_grids_of_one_size_are_one_grid(self):
+        assert Grid(100) == Grid(100) and hash(Grid(100)) == hash(Grid(100))
+        assert Grid(99) != Grid(100)
+        assert len(Grid(100)) == 100
+
+    def test_points_and_weights_are_read_only(self):
+        grid = Grid(50)
+        for values in (grid.points, grid.weights):
+            with pytest.raises(ValueError):
+                values[1] = 0.5
+
     @pytest.mark.parametrize("n", [50, 100, 500])
     def test_grid_keeps_its_bytes(self, n):
         points = np.linspace(0.0, 1.0, n)
-        grid = uniform_grid(n)
-        assert grid.points.tobytes() == points.tobytes() == grid.key
-        assert grid.weights.tobytes() == trapezoid_weights(points).tobytes()
+        # the trapezoid weights as the package first computed them
+        weights = np.zeros_like(points)
+        weights[:-1] += np.diff(points) / 2.0
+        weights[1:] += np.diff(points) / 2.0
+        grid = Grid(n)
+        assert grid.points.tobytes() == points.tobytes()
+        assert grid.weights.tobytes() == weights.tobytes()
 
-    def test_trapezoid_weights_sum_to_one(self):
-        grid = uniform_grid(137)
+    def test_weights_sum_to_one(self):
+        grid = Grid(137)
         assert grid.weights.sum() == pytest.approx(1.0, abs=1e-12)

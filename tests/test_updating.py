@@ -9,7 +9,7 @@ from curveclust.curves import normalize, refit_on_grid
 from curveclust.errors import DegenerateDataError, MissingSimilaritiesError
 from curveclust.products import center_inner, centered_norm, warp_weighted_rows
 from curveclust.similarity import SimilarityMatrix, rho_given_psi, similarity_matrix
-from curveclust.splines import derivative, uniform_grid
+from curveclust.splines import Grid, derivative
 from curveclust.updating import (
     UpdateContext,
     _Quantities,
@@ -29,7 +29,7 @@ from curveclust.warping import (
 from .conftest import identity_warp, random_smooth_curve, sine_shape, standing_for
 from .oracles import verify_improvement, warp_weighted_inner, warp_weighted_mean
 
-GRID = uniform_grid(300)
+GRID = Grid(300)
 
 
 def make_context(rng, k, lambda0=0.0, tau=1.0, sims=None, raw_scale=0.35):

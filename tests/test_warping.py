@@ -39,14 +39,7 @@ from curveclust.similarity import (
     similarity,
     similarity_matrix,
 )
-from curveclust.splines import (
-    Grid,
-    Layout,
-    SplineRep,
-    derivative,
-    trapezoid_weights,
-    uniform_grid,
-)
+from curveclust.splines import Grid, Layout, SplineRep, derivative
 from curveclust.updating import update_all, weight_exponent
 from curveclust.warping import (
     invert_warping,
@@ -118,9 +111,8 @@ class TestForwardOnGrid:
     """Batched psi and psi' from the grid's cached design matrices against
     each warp's own spline, for both knot layouts of the family."""
 
-    @pytest.mark.parametrize("points", [np.linspace(0, 1, 100), np.linspace(0, 1, 333) ** 1.4])
-    def test_matches_spline_evaluation(self, points):
-        grid = Grid(points, trapezoid_weights(points), points.tobytes())
+    def test_matches_spline_evaluation(self):
+        grid = Grid(100)
         rng = np.random.default_rng(31)
         warps = [make_warping(rng.normal(0.0, 0.6, n_raw_params())) for _ in range(6)]
         warps = warps[:3] + [w.swapped() for w in warps[3:]] + [identity_warp()]
@@ -785,7 +777,7 @@ class TestHelperProcesses:
             "from curveclust import warping\n"
             "from curveclust.similarity import similarity\n"
             "from curveclust.curves import refit_on_grid\n"
-            "from curveclust.splines import uniform_grid\n"
+            "from curveclust.splines import Grid\n"
             "fd, caller = int(sys.argv[1]), os.getpid()\n"
             "fork, search = os.fork, warping.minimize\n"
             "def helper_fork():\n"
@@ -799,7 +791,7 @@ class TestHelperProcesses:
             "    return search(values, x0s)\n"
             "os.fork, warping.minimize = helper_fork, killed\n"
             "warping._spare_cpus = lambda: 2\n"
-            "grid = uniform_grid(100)\n"
+            "grid = Grid(100)\n"
             "f = refit_on_grid(0, grid, np.sin(2 * np.pi * grid.points))\n"
             "g = refit_on_grid(1, grid, np.sin(2 * np.pi * grid.points ** 1.2))\n"
             "similarity(f, g, 0.0)\n"
@@ -1232,6 +1224,6 @@ class TestGridParts:
         warp = make_warping(np.random.default_rng(37).normal(0.0, 0.5, n_raw_params()))
         small, large = warping._grid_parts(warp, grid100), warping._grid_parts(warp, grid500)
         assert len(small[0]) == 100 and len(large[0]) == 500
-        assert set(warp.on_grid) == {grid100.key, grid500.key}
-        # an equal grid built apart shares the key, and so the parts
-        assert warping._grid_parts(warp, uniform_grid(100)) is small
+        assert set(warp.on_grid) == {grid100, grid500}
+        # a grid of one size built apart is the same grid, so it shares the parts
+        assert warping._grid_parts(warp, Grid(100)) is small
